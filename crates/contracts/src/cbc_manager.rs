@@ -9,6 +9,7 @@
 //! accordingly.
 
 use std::any::Any;
+use std::sync::Arc;
 
 use xchain_bft::proof::{BlockProof, DealStatus, StatusCertificate};
 use xchain_bft::validator::{validator_party_id, ValidatorSetInfo};
@@ -30,8 +31,8 @@ use crate::escrow::{EscrowCore, EscrowResolution};
 pub struct CbcDealInfo {
     /// The deal identifier `D`.
     pub deal: DealId,
-    /// The participating parties.
-    pub plist: Vec<PartyId>,
+    /// The participating parties (shared with the escrow state).
+    pub plist: Arc<[PartyId]>,
     /// Hash of the definitive startDeal record on the CBC.
     pub start_hash: Hash,
     /// The CBC's initial validator set.
@@ -246,7 +247,7 @@ mod tests {
             .unwrap();
         let info = CbcDealInfo {
             deal: DealId(9),
-            plist: plist.clone(),
+            plist: plist.clone().into(),
             start_hash,
             validators: cbc.initial_validators(),
         };
@@ -422,7 +423,7 @@ mod tests {
     fn certificate_for_wrong_deal_rejected() {
         let mut fx = fixture(1);
         escrow_and_route_coins(&mut fx);
-        let plist = fx.info.plist.clone();
+        let plist = fx.info.plist.to_vec();
         let (_, other_hash) = fx
             .cbc
             .start_deal(Time(0), plist[0], DealId(10), plist.clone())

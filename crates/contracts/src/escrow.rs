@@ -15,6 +15,7 @@
 
 use std::any::Any;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use xchain_sim::asset::{Asset, AssetBag};
 use xchain_sim::contract::{CallCtx, Contract};
@@ -52,7 +53,9 @@ pub struct EscrowDeposit {
 #[derive(Debug, Clone)]
 pub struct EscrowCore {
     deal: DealId,
-    plist: Vec<PartyId>,
+    /// Shared with the owning manager's deal info (and, in the engines, with
+    /// every chain's escrow), so installing a contract copies no party list.
+    plist: Arc<[PartyId]>,
     /// The hosting chain's kind table (set on install; empty until then).
     kinds: KindTable,
     /// A map: deposits, refunded to their original owners on abort.
@@ -64,10 +67,10 @@ pub struct EscrowCore {
 
 impl EscrowCore {
     /// Creates the escrow state for a deal with the given participant list.
-    pub fn new(deal: DealId, plist: Vec<PartyId>) -> Self {
+    pub fn new(deal: DealId, plist: impl Into<Arc<[PartyId]>>) -> Self {
         EscrowCore {
             deal,
-            plist,
+            plist: plist.into(),
             kinds: KindTable::new(),
             deposits: Vec::new(),
             on_commit: BTreeMap::new(),
@@ -189,7 +192,7 @@ impl EscrowCore {
         ctx.charge_storage_write()?;
         self.on_commit.entry(caller).or_default().add(&asset);
         self.deposits.push((caller, asset));
-        ctx.emit("escrow", vec![self.deal.0, caller.0 as u64, magnitude])?;
+        ctx.emit("escrow", &[self.deal.0, caller.0 as u64, magnitude])?;
         Ok(())
     }
 
@@ -236,7 +239,7 @@ impl EscrowCore {
         self.on_commit.entry(to).or_default().add(asset);
         ctx.emit(
             "tentative-transfer",
-            vec![self.deal.0, caller.0 as u64, to.0 as u64, asset.magnitude()],
+            &[self.deal.0, caller.0 as u64, to.0 as u64, asset.magnitude()],
         )?;
         Ok(())
     }
@@ -264,7 +267,7 @@ impl EscrowCore {
                 ctx.pay_out_tokens((*party).into(), kind, tokens)?;
             }
         }
-        ctx.emit("escrow-committed", vec![self.deal.0])?;
+        ctx.emit("escrow-committed", &[self.deal.0])?;
         Ok(())
     }
 
@@ -278,7 +281,7 @@ impl EscrowCore {
         for (owner, asset) in self.deposits_iter() {
             ctx.pay_out_interned(owner.into(), asset)?;
         }
-        ctx.emit("escrow-aborted", vec![self.deal.0])?;
+        ctx.emit("escrow-aborted", &[self.deal.0])?;
         Ok(())
     }
 }
@@ -295,7 +298,7 @@ pub struct EscrowManager {
 
 impl EscrowManager {
     /// Creates an escrow manager for a deal.
-    pub fn new(deal: DealId, plist: Vec<PartyId>) -> Self {
+    pub fn new(deal: DealId, plist: impl Into<Arc<[PartyId]>>) -> Self {
         EscrowManager {
             core: EscrowCore::new(deal, plist),
         }

@@ -97,7 +97,7 @@ impl TicketRegistry {
         };
         ctx.mint_interned_to_self(&asset)?;
         ctx.pay_out_interned(to.into(), &asset)?;
-        ctx.emit("issue-ticket", vec![to.0 as u64, token.0])?;
+        ctx.emit("issue-ticket", &[to.0 as u64, token.0])?;
         Ok(token)
     }
 

@@ -9,11 +9,11 @@
 //! refunds the escrowed assets to their original owners.
 
 use std::any::Any;
-use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use xchain_sim::asset::Asset;
 use xchain_sim::contract::{CallCtx, Contract};
-use xchain_sim::crypto::PathSignature;
+use xchain_sim::crypto::{hash_words, PathSignature};
 use xchain_sim::error::ChainResult;
 use xchain_sim::ids::{DealId, PartyId};
 use xchain_sim::intern::InternedAsset;
@@ -27,8 +27,9 @@ use crate::escrow::{EscrowCore, EscrowResolution};
 pub struct TimelockDealInfo {
     /// The deal identifier `D`.
     pub deal: DealId,
-    /// The participating parties.
-    pub plist: Vec<PartyId>,
+    /// The participating parties (shared with the escrow state, and by the
+    /// engines with every chain's contract).
+    pub plist: Arc<[PartyId]>,
     /// Commit-phase starting time `t0`, used only to compute timeouts.
     pub t0: Time,
     /// The synchrony bound `∆`.
@@ -50,12 +51,48 @@ impl TimelockDealInfo {
     }
 }
 
+/// Accepted voters as a bitset over plist positions. The first 64 positions
+/// live inline; `high` only allocates for deals with more parties.
+#[derive(Debug, Clone, Default)]
+struct VoteBits {
+    low: u64,
+    high: Vec<u64>,
+    count: usize,
+}
+
+impl VoteBits {
+    fn contains(&self, ix: usize) -> bool {
+        let word = if ix < 64 {
+            self.low
+        } else {
+            self.high.get(ix / 64 - 1).copied().unwrap_or(0)
+        };
+        word & (1 << (ix % 64)) != 0
+    }
+
+    fn insert(&mut self, ix: usize) {
+        if self.contains(ix) {
+            return;
+        }
+        let word = if ix < 64 {
+            &mut self.low
+        } else {
+            if self.high.len() < ix / 64 {
+                self.high.resize(ix / 64, 0);
+            }
+            &mut self.high[ix / 64 - 1]
+        };
+        *word |= 1 << (ix % 64);
+        self.count += 1;
+    }
+}
+
 /// The timelock escrow manager contract.
 #[derive(Debug, Clone)]
 pub struct TimelockManager {
     core: EscrowCore,
     info: TimelockDealInfo,
-    voted: BTreeSet<PartyId>,
+    voted: VoteBits,
 }
 
 impl TimelockManager {
@@ -64,7 +101,7 @@ impl TimelockManager {
         TimelockManager {
             core: EscrowCore::new(info.deal, info.plist.clone()),
             info,
-            voted: BTreeSet::new(),
+            voted: VoteBits::default(),
         }
     }
 
@@ -79,14 +116,19 @@ impl TimelockManager {
         &self.core
     }
 
-    /// Parties whose commit votes have been accepted so far.
-    pub fn voted(&self) -> &BTreeSet<PartyId> {
-        &self.voted
+    /// Parties whose commit votes have been accepted so far, in plist order.
+    pub fn voted(&self) -> impl Iterator<Item = PartyId> + '_ {
+        self.info
+            .plist
+            .iter()
+            .enumerate()
+            .filter(|&(ix, _)| self.voted.contains(ix))
+            .map(|(_, &p)| p)
     }
 
     /// True if a vote from every party has been accepted.
     pub fn all_voted(&self) -> bool {
-        self.info.plist.iter().all(|p| self.voted.contains(p))
+        self.voted.count == self.info.plist.len()
     }
 
     /// How the escrow resolved, if it has.
@@ -150,14 +192,16 @@ impl TimelockManager {
             "commit vote arrived after its path timeout",
         )?;
         // line 7: legit voters only
-        ctx.require(self.info.plist.contains(&vote.voter), "voter not in plist")?;
+        let voter_ix = self.info.plist.iter().position(|&p| p == vote.voter);
+        ctx.require(voter_ix.is_some(), "voter not in plist")?;
+        let voter_ix = voter_ix.expect("required above");
         // line 8: no duplicate votes
-        ctx.require(!self.voted.contains(&vote.voter), "duplicate vote")?;
+        ctx.require(!self.voted.contains(voter_ix), "duplicate vote")?;
         // line 9: no duplicate signers; signers must be participants
         ctx.require(vote.signers_unique(), "duplicate signers on path")?;
         ctx.require(!vote.is_empty(), "empty signature path")?;
         ctx.require(
-            vote.signers().iter().all(|s| self.info.plist.contains(s)),
+            vote.signers().all(|s| self.info.plist.contains(&s)),
             "path signer not in plist",
         )?;
         // The path must start with the voter's own signature: otherwise the
@@ -166,21 +210,23 @@ impl TimelockManager {
             vote.path.first().map(|(p, _)| *p) == Some(vote.voter),
             "path does not start with the voter's signature",
         )?;
-        // lines 10-12: verify each signature (expensive)
-        let message = self.info.vote_message(vote.voter);
+        // lines 10-12: verify each signature (expensive). Every signer signs
+        // the same message, so it is hashed once; each signature still pays
+        // its own verification gas.
+        let digest = hash_words(&self.info.vote_message(vote.voter));
         for (signer, sig) in &vote.path {
             let Some(pk) = ctx.keys().public_key_of(*signer) else {
                 return ctx.require(false, "unknown signer key").map(|_| ());
             };
-            let ok = ctx.verify_signature(sig, pk, &message)?;
+            let ok = ctx.verify_signature_digest(sig, pk, digest)?;
             ctx.require(ok, "invalid signature on vote path")?;
         }
         // line 13: remember who voted
         ctx.charge_storage_write()?;
-        self.voted.insert(vote.voter);
+        self.voted.insert(voter_ix);
         ctx.emit(
             "commit-vote",
-            vec![self.info.deal.0, vote.voter.0 as u64, vote.len() as u64],
+            &[self.info.deal.0, vote.voter.0 as u64, vote.len() as u64],
         )?;
         // Release once every party's vote has been accepted.
         if self.all_voted() {
@@ -257,7 +303,7 @@ mod tests {
             .unwrap();
         let info = TimelockDealInfo {
             deal: DealId(7),
-            plist: parties,
+            plist: parties.into(),
             t0: Time(T0),
             delta: Duration(DELTA),
         };
@@ -516,6 +562,68 @@ mod tests {
                 .unwrap(),
             Some(EscrowResolution::Aborted)
         );
+    }
+
+    #[test]
+    fn vote_bits_track_positions_past_the_inline_word() {
+        let mut bits = VoteBits::default();
+        for ix in [0, 63, 64, 130, 64] {
+            bits.insert(ix);
+        }
+        assert_eq!(bits.count, 4);
+        assert!([0, 63, 64, 130].iter().all(|&ix| bits.contains(ix)));
+        assert!(!bits.contains(1) && !bits.contains(65) && !bits.contains(500));
+        assert_eq!(bits.high.len(), 2);
+    }
+
+    #[test]
+    fn unsorted_plist_rejects_duplicates_and_commits_once_all_voted() {
+        let mut chain = Blockchain::new(ChainId(0), "coins", Duration(1));
+        let plist = [PartyId(2), PartyId(0), PartyId(1)];
+        let keys: Vec<KeyPair> = plist
+            .iter()
+            .map(|&p| {
+                let kp = KeyPair::derive(p, 5);
+                chain.register_key(p, &kp);
+                kp
+            })
+            .collect();
+        let info = TimelockDealInfo {
+            deal: DealId(3),
+            plist: plist.to_vec().into(),
+            t0: Time(T0),
+            delta: Duration(DELTA),
+        };
+        let contract = chain.install(TimelockManager::new(info.clone()));
+        let vote =
+            |ix: usize| PathSignature::direct(plist[ix], &keys[ix], &info.vote_message(plist[ix]));
+        let commit = |chain: &mut Blockchain, ix: usize| {
+            chain.call(
+                Time(T0 + 1),
+                Owner::Party(plist[ix]),
+                contract,
+                |m: &mut TimelockManager, ctx| m.commit(ctx, &vote(ix)),
+            )
+        };
+        // Party 0 sits at plist position 1.
+        commit(&mut chain, 1).unwrap();
+        assert!(matches!(commit(&mut chain, 1), Err(ChainError::Require(_))));
+        commit(&mut chain, 0).unwrap();
+        let (voted, all) = chain
+            .view(contract, |m: &TimelockManager| {
+                (m.voted().collect::<Vec<_>>(), m.all_voted())
+            })
+            .unwrap();
+        assert_eq!(voted, [PartyId(2), PartyId(0)]);
+        assert!(!all);
+        commit(&mut chain, 2).unwrap();
+        let (all, resolution) = chain
+            .view(contract, |m: &TimelockManager| {
+                (m.all_voted(), m.resolution())
+            })
+            .unwrap();
+        assert!(all);
+        assert_eq!(resolution, Some(EscrowResolution::Committed));
     }
 
     #[test]

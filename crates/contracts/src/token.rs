@@ -65,7 +65,7 @@ impl TokenContract {
         let kind = self.kind_id(ctx);
         let asset = InternedAsset::Fungible { kind, amount };
         mint_via_ctx(ctx, to, &asset)?;
-        ctx.emit("mint", vec![to.0 as u64, amount])?;
+        ctx.emit("mint", &[to.0 as u64, amount])?;
         Ok(())
     }
 

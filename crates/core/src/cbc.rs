@@ -18,7 +18,7 @@ use xchain_sim::world::World;
 
 use crate::error::DealError;
 use crate::outcome::{ChainResolution, DealOutcome, ProtocolKind};
-use crate::party::{config_of, PartyConfig};
+use crate::party::{configs_by_position, PartyConfig};
 use crate::phases::{Phase, PhaseMetrics};
 use crate::plan::DealPlan;
 use crate::setup::advance_one_observation;
@@ -90,6 +90,9 @@ pub(crate) fn drive(
 
     let mut metrics = PhaseMetrics::new();
     let initial_holdings = holdings_by_party(world, spec);
+    // Every party's configuration, resolved once and indexed by plan
+    // position.
+    let cfgs = configs_by_position(&spec.parties, configs);
     // One shared observation hub for the whole deal (see the timelock
     // engine): a single filtered ingest pass per chain, one view per party.
     let mut hub = ObservationHub::new(plan);
@@ -121,7 +124,7 @@ pub(crate) fn drive(
         .map_err(DealError::Cbc)?;
     let info = CbcDealInfo {
         deal: spec.deal,
-        plist: spec.parties.clone(),
+        plist: plan.plist().clone(),
         start_hash,
         validators: cbc.initial_validators(),
     };
@@ -142,7 +145,7 @@ pub(crate) fn drive(
     let escrow_started = world.now();
     let gas_before = world.total_gas();
     for e in plan.escrows() {
-        let cfg = config_of(configs, e.owner);
+        let cfg = &cfgs[e.owner_ix];
         let willing = {
             let ctx = hub.ctx(world, spec, e.owner, Phase::Escrow, None);
             cfg.strategy.is_online(ctx.now) && cfg.strategy.on_escrow(&ctx)
@@ -177,7 +180,7 @@ pub(crate) fn drive(
     let order = plan.transfer_order();
     for (step, idx) in order.iter().enumerate() {
         let t = &plan.transfers()[*idx];
-        let cfg = config_of(configs, t.from);
+        let cfg = &cfgs[t.from_ix];
         let willing = {
             let ctx = hub.ctx(world, spec, t.from, Phase::Transfer, None);
             cfg.strategy.is_online(ctx.now) && cfg.strategy.on_transfer(&ctx)
@@ -205,9 +208,8 @@ pub(crate) fn drive(
     let validation_started = world.now();
     let gas_before = world.total_gas();
     let mut validated: BTreeMap<PartyId, bool> = BTreeMap::new();
-    for pp in plan.parties() {
+    for (pp, cfg) in plan.parties().iter().zip(&cfgs) {
         let p = pp.id;
-        let cfg = config_of(configs, p);
         let mechanical = validation::validate_cbc_plan(world, pp, &info, &contracts);
         let ok = {
             let ctx = hub.ctx(world, spec, p, Phase::Validation, Some(mechanical));
@@ -226,8 +228,7 @@ pub(crate) fn drive(
     let gas_before = world.total_gas();
 
     // All parties vote in parallel (the CBC orders them).
-    for &p in &spec.parties {
-        let cfg = config_of(configs, p);
+    for (&p, cfg) in spec.parties.iter().zip(&cfgs) {
         if world.is_offline(p, world.now()) || !cfg.strategy.is_online(world.now()) {
             continue;
         }
@@ -257,8 +258,7 @@ pub(crate) fn drive(
         .map_err(DealError::Cbc)?;
     if matches!(status, DealStatus::Active) {
         world.advance_by(opts.patience);
-        for &p in &spec.parties {
-            let cfg = config_of(configs, p);
+        for (&p, cfg) in spec.parties.iter().zip(&cfgs) {
             if cfg.is_compliant()
                 && !world.is_offline(p, world.now())
                 && cfg.strategy.is_online(world.now())

@@ -88,7 +88,7 @@ pub use digraph::{is_well_formed, DealDigraph};
 pub use engine::{DealEngine, EngineRun, Protocol, ProtocolExt};
 pub use error::DealError;
 pub use outcome::{ChainResolution, DealOutcome, ProtocolKind};
-pub use party::{config_of, fresh_configs, Deviation, PartyConfig};
+pub use party::{config_of, configs_by_position, fresh_configs, Deviation, PartyConfig};
 pub use phases::{Phase, PhaseMetrics};
 pub use plan::{DealPlan, PartyPlan, PlannedEscrow, PlannedTransfer};
 pub use properties::{

@@ -129,6 +129,14 @@ pub fn config_of(configs: &[PartyConfig], id: PartyId) -> PartyConfig {
         .unwrap_or_else(|| PartyConfig::compliant(id))
 }
 
+/// Looks up the configuration of every party in `parties` once, in order.
+/// Engines index the result by plan position (`plan.parties()`,
+/// `PlannedEscrow::owner_ix`, …) instead of calling [`config_of`] at every
+/// decision.
+pub fn configs_by_position(parties: &[PartyId], configs: &[PartyConfig]) -> Vec<PartyConfig> {
+    parties.iter().map(|&p| config_of(configs, p)).collect()
+}
+
 /// Clones a configuration set for one deal execution, giving stateful
 /// strategies a clean interior state (via [`Strategy::fresh`]) while
 /// preserving sharing: configs that held the *same* `Arc` — a coalition —
@@ -183,6 +191,25 @@ mod tests {
         let configs = vec![PartyConfig::deviating(PartyId(1), Deviation::WithholdVote)];
         assert!(config_of(&configs, PartyId(0)).is_compliant());
         assert!(!config_of(&configs, PartyId(1)).is_compliant());
+    }
+
+    #[test]
+    fn position_table_matches_per_party_lookup_and_shares_the_compliant_strategy() {
+        let configs = vec![PartyConfig::deviating(PartyId(1), Deviation::WithholdVote)];
+        let parties = [PartyId(2), PartyId(1), PartyId(0)];
+        let table = configs_by_position(&parties, &configs);
+        assert_eq!(table.len(), 3);
+        for (cfg, &p) in table.iter().zip(&parties) {
+            assert_eq!(cfg.id, p);
+            assert_eq!(cfg.is_compliant(), config_of(&configs, p).is_compliant());
+        }
+        // Defaulted parties share one compliant strategy instead of each
+        // allocating their own.
+        assert!(Arc::ptr_eq(&table[0].strategy, &table[2].strategy));
+        assert!(Arc::ptr_eq(
+            &table[0].strategy,
+            &PartyConfig::compliant(PartyId(7)).strategy
+        ));
     }
 
     #[test]

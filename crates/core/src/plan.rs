@@ -38,6 +38,8 @@
 //! [`KindId`]: xchain_sim::intern::KindId
 //! [`Asset`]: xchain_sim::asset::Asset
 
+use std::sync::Arc;
+
 use xchain_sim::ids::{ChainId, PartyId};
 use xchain_sim::intern::{InternedAsset, InternedBag, KindTable};
 
@@ -50,6 +52,8 @@ use crate::spec::{DealSpec, EscrowSpec, TransferSpec};
 pub struct PlannedEscrow {
     /// The original owner of the asset.
     pub owner: PartyId,
+    /// The owner's position in [`DealPlan::parties`].
+    pub owner_ix: usize,
     /// The chain the asset lives on.
     pub chain: ChainId,
     /// The asset to escrow, interned against the plan's kind table.
@@ -62,6 +66,8 @@ pub struct PlannedEscrow {
 pub struct PlannedTransfer {
     /// The sending party.
     pub from: PartyId,
+    /// The sender's position in [`DealPlan::parties`].
+    pub from_ix: usize,
     /// The receiving party.
     pub to: PartyId,
     /// The chain the asset lives on.
@@ -94,6 +100,7 @@ pub struct PartyPlan {
 #[derive(Debug, Clone)]
 pub struct DealPlan {
     spec: DealSpec,
+    plist: Arc<[PartyId]>,
     kinds: KindTable,
     chains: Vec<ChainId>,
     transfer_order: Vec<usize>,
@@ -123,6 +130,9 @@ impl DealPlan {
         // `validate()` proved an order exists; computing it here fixes it for
         // the lifetime of the plan (engines no longer recompute it per run).
         let transfer_order = spec.transfer_order()?;
+        // `validate()` proved every escrow owner and transfer sender is a
+        // party, so the positions below always exist.
+        let position = |p: PartyId| spec.parties.iter().position(|&q| q == p).unwrap_or(0);
         // Deterministic id assignment: escrows in spec order, then transfers
         // in spec order. Identical specs therefore produce identical tables.
         let escrows: Vec<PlannedEscrow> = spec
@@ -130,6 +140,7 @@ impl DealPlan {
             .iter()
             .map(|e: &EscrowSpec| PlannedEscrow {
                 owner: e.owner,
+                owner_ix: position(e.owner),
                 chain: e.chain,
                 asset: kinds.intern_asset(&e.asset),
             })
@@ -139,6 +150,7 @@ impl DealPlan {
             .iter()
             .map(|t: &TransferSpec| PlannedTransfer {
                 from: t.from,
+                from_ix: position(t.from),
                 to: t.to,
                 chain: t.chain,
                 asset: kinds.intern_asset(&t.asset),
@@ -175,6 +187,7 @@ impl DealPlan {
             })
             .collect();
         Ok(DealPlan {
+            plist: spec.parties.as_slice().into(),
             spec,
             kinds,
             chains,
@@ -188,6 +201,18 @@ impl DealPlan {
     /// The specification this plan was resolved from.
     pub fn spec(&self) -> &DealSpec {
         &self.spec
+    }
+
+    /// The participant list, shared: every deal executed from this plan hands
+    /// the same allocation to each chain's escrow contract.
+    pub fn plist(&self) -> &Arc<[PartyId]> {
+        &self.plist
+    }
+
+    /// The position of `chain` in [`DealPlan::chains`]: the dense per-deal
+    /// chain index engines key their tables by.
+    pub fn chain_index(&self, chain: ChainId) -> Option<usize> {
+        self.chains.binary_search(&chain).ok()
     }
 
     /// The plan's canonical kind table (fork it to build a world, see
@@ -246,6 +271,17 @@ mod tests {
         assert_eq!(plan.transfer_order(), &spec.transfer_order().unwrap()[..]);
         assert_eq!(plan.escrows().len(), spec.escrows.len());
         assert_eq!(plan.transfers().len(), spec.transfers.len());
+        assert_eq!(&plan.plist()[..], &spec.parties[..]);
+        for e in plan.escrows() {
+            assert_eq!(plan.parties()[e.owner_ix].id, e.owner);
+        }
+        for t in plan.transfers() {
+            assert_eq!(plan.parties()[t.from_ix].id, t.from);
+        }
+        for (ix, &c) in plan.chains().iter().enumerate() {
+            assert_eq!(plan.chain_index(c), Some(ix));
+        }
+        assert_eq!(plan.chain_index(ChainId(99)), None);
         for (pp, &p) in plan.parties().iter().zip(&spec.parties) {
             assert_eq!(pp.id, p);
             assert_eq!(pp.incoming_chains, spec.incoming_chains_of(p));

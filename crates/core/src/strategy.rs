@@ -179,7 +179,7 @@ fn ingest(view: &mut DealView, chain: ChainId, entry: &LogEntry) {
         Owner::Party(p) => Some(p),
         _ => None,
     };
-    match entry.label.as_str() {
+    match entry.label {
         "escrow" | "htlc-funded" => {
             if let Some(p) = caller {
                 if !view.escrows.contains(&(chain, p)) {
@@ -260,25 +260,45 @@ impl ObservedEvent {
     }
 
     /// Folds the event into a view, deduplicating exactly like [`ingest`].
-    fn fold_into(self, view: &mut DealView, chain: ChainId) {
+    /// A collection's first push reserves its `caps` bound at once.
+    fn fold_into(self, view: &mut DealView, chain: ChainId, caps: &ViewCaps) {
         match self {
-            ObservedEvent::Escrowed(p) => {
-                if !view.escrows.contains(&(chain, p)) {
-                    view.escrows.push((chain, p));
-                }
-            }
+            ObservedEvent::Escrowed(p) => push_new(&mut view.escrows, (chain, p), caps.escrows),
             ObservedEvent::Transferred(p) => {
-                if !view.transfers.contains(&(chain, p)) {
-                    view.transfers.push((chain, p));
-                }
+                push_new(&mut view.transfers, (chain, p), caps.transfers)
             }
-            ObservedEvent::Voted(p) => {
-                if !view.commit_votes.contains(&p) {
-                    view.commit_votes.push(p);
-                }
+            ObservedEvent::Voted(p) => push_new(&mut view.commit_votes, p, caps.votes),
+            ObservedEvent::Resolved(committed) => {
+                reserve_first(&mut view.resolutions, caps.resolutions);
+                view.resolutions.push((chain, committed));
             }
-            ObservedEvent::Resolved(committed) => view.resolutions.push((chain, committed)),
         }
+    }
+}
+
+/// Upper bounds, from the plan, on how many entries each [`DealView`]
+/// collection can reach. A bound is only applied when it is above the four
+/// entries a `Vec`'s first push allocates anyway, and only at that first
+/// push: a collection that stays empty (an aborted deal's votes) still
+/// allocates nothing, and one that fills grows once instead of doubling.
+#[derive(Debug, Clone, Copy, Default)]
+struct ViewCaps {
+    escrows: usize,
+    transfers: usize,
+    votes: usize,
+    resolutions: usize,
+}
+
+fn reserve_first<T>(v: &mut Vec<T>, cap: usize) {
+    if v.capacity() == 0 && cap > 4 {
+        v.reserve_exact(cap);
+    }
+}
+
+fn push_new<T: PartialEq>(v: &mut Vec<T>, item: T, cap: usize) {
+    if !v.contains(&item) {
+        reserve_first(v, cap);
+        v.push(item);
     }
 }
 
@@ -305,16 +325,24 @@ impl ObservedEvent {
 /// the hub is built once per deal execution alongside the plan.
 #[derive(Debug, Clone)]
 pub struct ObservationHub {
-    chains: Vec<ChainId>,
     filter: LogFilter,
-    cursors: Vec<LogCursor>,
-    /// Parsed events per chain (indexed like `chains`), in log order.
-    events: Vec<Vec<ObservedEvent>>,
-    parties: Vec<PartyId>,
+    /// One feed per subscribed chain, in subscription order.
+    feeds: Vec<ChainFeed>,
+    parties: Arc<[PartyId]>,
     views: Vec<DealView>,
-    /// `positions[party][chain]`: how many of `events[chain]` the party's
-    /// view has folded in.
-    positions: Vec<Vec<usize>>,
+    /// `positions[party * feeds.len() + chain]`: how many of the chain's
+    /// events the party's view has folded in.
+    positions: Vec<usize>,
+    caps: ViewCaps,
+}
+
+/// One subscribed chain: its shared cursor and its parsed events, in log
+/// order.
+#[derive(Debug, Clone)]
+struct ChainFeed {
+    chain: ChainId,
+    cursor: LogCursor,
+    events: Vec<ObservedEvent>,
 }
 
 /// The deal vocabulary: every tag the views ingest (everything but
@@ -334,23 +362,39 @@ fn deal_filter() -> LogFilter {
 
 impl ObservationHub {
     /// A hub subscribed to the plan's chains on behalf of the plan's parties,
-    /// filtering to the deal vocabulary.
+    /// filtering to the deal vocabulary. The plan also bounds how large each
+    /// party's view can grow, so views grow at most once.
     pub fn new(plan: &DealPlan) -> Self {
-        Self::for_parties(plan.chains().to_vec(), plan.spec().parties.clone())
+        let mut hub = Self::subscribe(plan.chains(), plan.plist().clone());
+        hub.caps = ViewCaps {
+            escrows: plan.escrows().len(),
+            transfers: plan.transfers().len(),
+            votes: plan.parties().len(),
+            resolutions: plan.chains().len(),
+        };
+        hub
     }
 
     /// A hub for an explicit chain and party set (tests, custom monitors).
     pub fn for_parties(chains: Vec<ChainId>, parties: Vec<PartyId>) -> Self {
-        let n_chains = chains.len();
-        let n_parties = parties.len();
+        Self::subscribe(&chains, parties.into())
+    }
+
+    fn subscribe(chains: &[ChainId], parties: Arc<[PartyId]>) -> Self {
         ObservationHub {
-            chains,
             filter: deal_filter(),
-            cursors: vec![LogCursor::new(); n_chains],
-            events: vec![Vec::new(); n_chains],
+            feeds: chains
+                .iter()
+                .map(|&chain| ChainFeed {
+                    chain,
+                    cursor: LogCursor::new(),
+                    events: Vec::new(),
+                })
+                .collect(),
+            views: vec![DealView::default(); parties.len()],
+            positions: vec![0; parties.len() * chains.len()],
             parties,
-            views: vec![DealView::default(); n_parties],
-            positions: vec![vec![0; n_chains]; n_parties],
+            caps: ViewCaps::default(),
         }
     }
 
@@ -361,16 +405,10 @@ impl ObservationHub {
 
     /// Ingests one chain's new log entries into its event buffer — the single
     /// place the shared cursors advance and entries are parsed.
-    fn ingest_chain(
-        events: &mut Vec<ObservedEvent>,
-        cursor: &mut LogCursor,
-        filter: LogFilter,
-        world: &World,
-        chain: ChainId,
-    ) {
-        if let Ok(c) = world.chain(chain) {
-            events.extend(
-                c.log_from_filtered(cursor, filter)
+    fn ingest_chain(feed: &mut ChainFeed, filter: LogFilter, world: &World) {
+        if let Ok(c) = world.chain(feed.chain) {
+            feed.events.extend(
+                c.log_from_filtered(&mut feed.cursor, filter)
                     .filter_map(ObservedEvent::parse),
             );
         }
@@ -378,11 +416,11 @@ impl ObservationHub {
 
     /// Folds one chain's buffered events from `pos` onward into a view — the
     /// single place views advance, in log order per chain.
-    fn fold_chain(view: &mut DealView, events: &[ObservedEvent], pos: &mut usize, chain: ChainId) {
-        for ev in &events[*pos..] {
-            ev.fold_into(view, chain);
+    fn fold_chain(view: &mut DealView, feed: &ChainFeed, pos: &mut usize, caps: &ViewCaps) {
+        for ev in &feed.events[*pos..] {
+            ev.fold_into(view, feed.chain, caps);
         }
-        *pos = events.len();
+        *pos = feed.events.len();
     }
 
     fn party_index(&self, party: PartyId) -> usize {
@@ -396,14 +434,8 @@ impl ObservationHub {
     /// and buffers the resulting events. O(new entries), shared by all
     /// parties.
     pub fn refresh(&mut self, world: &World) {
-        for (cix, &chain) in self.chains.iter().enumerate() {
-            Self::ingest_chain(
-                &mut self.events[cix],
-                &mut self.cursors[cix],
-                self.filter,
-                world,
-                chain,
-            );
+        for feed in &mut self.feeds {
+            Self::ingest_chain(feed, self.filter, world);
         }
     }
 
@@ -413,14 +445,11 @@ impl ObservationHub {
     /// has run for the current world state.
     fn catch_up(&mut self, party: PartyId) -> &DealView {
         let pix = self.party_index(party);
+        let n_chains = self.feeds.len();
         let view = &mut self.views[pix];
-        for (cix, events) in self.events.iter().enumerate() {
-            Self::fold_chain(
-                view,
-                events,
-                &mut self.positions[pix][cix],
-                self.chains[cix],
-            );
+        let positions = &mut self.positions[pix * n_chains..(pix + 1) * n_chains];
+        for (feed, pos) in self.feeds.iter().zip(positions) {
+            Self::fold_chain(view, feed, pos, &self.caps);
         }
         &self.views[pix]
     }
@@ -445,21 +474,12 @@ impl ObservationHub {
         validated: Option<bool>,
     ) -> ObservationCtx<'a> {
         let pix = self.party_index(party);
+        let n_chains = self.feeds.len();
         let view = &mut self.views[pix];
-        for (cix, &chain) in self.chains.iter().enumerate() {
-            Self::ingest_chain(
-                &mut self.events[cix],
-                &mut self.cursors[cix],
-                self.filter,
-                world,
-                chain,
-            );
-            Self::fold_chain(
-                view,
-                &self.events[cix],
-                &mut self.positions[pix][cix],
-                chain,
-            );
+        let positions = &mut self.positions[pix * n_chains..(pix + 1) * n_chains];
+        for (feed, pos) in self.feeds.iter_mut().zip(positions) {
+            Self::ingest_chain(feed, self.filter, world);
+            Self::fold_chain(view, feed, pos, &self.caps);
         }
         ObservationCtx {
             party,
@@ -591,14 +611,18 @@ impl fmt::Debug for dyn Strategy {
 /// [`Deviation`]: crate::party::Deviation
 pub mod strategies {
     use std::collections::BTreeSet;
-    use std::sync::Mutex;
+    use std::sync::{Mutex, OnceLock};
 
     use super::*;
     use crate::party::Deviation;
 
-    /// The compliant strategy: every hook at its default.
+    /// The compliant strategy: every hook at its default. It is stateless,
+    /// so every caller shares one instance and the call allocates nothing.
     pub fn compliant() -> Arc<dyn Strategy> {
-        from_deviation(Deviation::None)
+        static COMPLIANT: OnceLock<Arc<dyn Strategy>> = OnceLock::new();
+        COMPLIANT
+            .get_or_init(|| from_deviation(Deviation::None))
+            .clone()
     }
 
     /// Stops participating after completing `phase` (crash / walk-away),

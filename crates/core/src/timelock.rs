@@ -12,7 +12,7 @@
 //! both the all-compliant executions of Theorem 5.3 and arbitrary adversarial
 //! executions (Theorem 5.1) are produced by the same engine.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use xchain_contracts::timelock::{TimelockDealInfo, TimelockManager};
 use xchain_sim::asset::AssetBag;
@@ -24,7 +24,7 @@ use xchain_sim::world::World;
 
 use crate::error::DealError;
 use crate::outcome::{ChainResolution, DealOutcome, ProtocolKind};
-use crate::party::{config_of, PartyConfig};
+use crate::party::{configs_by_position, PartyConfig};
 use crate::phases::{Phase, PhaseMetrics};
 use crate::plan::DealPlan;
 use crate::setup::advance_one_observation;
@@ -58,13 +58,50 @@ impl Default for TimelockOptions {
 }
 
 /// A commit vote visible on some chain, tracked engine-side so other parties
-/// can observe and forward it.
-#[derive(Debug, Clone)]
+/// can observe and forward it. The path signature itself is stored once in
+/// the engine's path arena; every chain that accepted it refers to it by
+/// index.
+#[derive(Debug, Clone, Copy)]
 struct PublishedVote {
-    chain: ChainId,
-    voter: PartyId,
-    path: PathSignature,
+    /// Position of the chain in `plan.chains()`.
+    chain_ix: usize,
+    /// Position of the voter in `plan.parties()`.
+    voter_ix: usize,
+    /// Index into the path arena.
+    path: usize,
     published_at: Time,
+}
+
+/// Which chain's contract has accepted which voter: a dense bitset over
+/// (chain position, party position). It mirrors the contracts' acceptance
+/// state exactly, so duplicate checks never re-read a contract.
+struct AcceptedVotes {
+    words: Vec<u64>,
+    n_parties: usize,
+}
+
+impl AcceptedVotes {
+    fn new(n_chains: usize, n_parties: usize) -> Self {
+        AcceptedVotes {
+            words: vec![0; (n_chains * n_parties).div_ceil(64)],
+            n_parties,
+        }
+    }
+
+    fn bit(&self, chain_ix: usize, voter_ix: usize) -> (usize, u64) {
+        let i = chain_ix * self.n_parties + voter_ix;
+        (i / 64, 1 << (i % 64))
+    }
+
+    fn contains(&self, chain_ix: usize, voter_ix: usize) -> bool {
+        let (word, mask) = self.bit(chain_ix, voter_ix);
+        self.words[word] & mask != 0
+    }
+
+    fn insert(&mut self, chain_ix: usize, voter_ix: usize) {
+        let (word, mask) = self.bit(chain_ix, voter_ix);
+        self.words[word] |= mask;
+    }
 }
 
 /// The result of a timelock deal execution: the measured outcome plus the
@@ -96,6 +133,12 @@ pub(crate) fn drive(
 
     let mut metrics = PhaseMetrics::new();
     let initial_holdings = holdings_by_party(world, spec);
+    // Every party's configuration, resolved once and indexed by plan
+    // position.
+    let cfgs = configs_by_position(&spec.parties, configs);
+    // Plan chains are sorted and cover every party's chains, so the lookup
+    // cannot miss.
+    let index_of_chain = |chain: ChainId| plan.chain_index(chain).expect("a plan chain");
     // One shared hub for the whole deal: a single filtered log ingest pass
     // per chain, fanned out to every party's private view (identical to the
     // per-party DealObserver views, at a fraction of the cost).
@@ -114,17 +157,20 @@ pub(crate) fn drive(
     let t0 = world.now() + opts.delta.times(spec.n_transfers() as u64 + 6);
     let info = TimelockDealInfo {
         deal: spec.deal,
-        plist: spec.parties.clone(),
+        plist: plan.plist().clone(),
         t0,
         delta: opts.delta,
     };
     let mut contracts: BTreeMap<ChainId, ContractId> = BTreeMap::new();
+    // The same ids by chain position, for the commit phase's hot loops.
+    let mut contract_ids: Vec<ContractId> = Vec::with_capacity(plan.chains().len());
     for &chain in plan.chains() {
         let id = world
             .chain_mut(chain)
             .map_err(DealError::Chain)?
             .install(TimelockManager::new(info.clone()));
         contracts.insert(chain, id);
+        contract_ids.push(id);
     }
     metrics.add_gas(Phase::Clearing, gas_before.delta_to(&world.total_gas()));
     metrics.add_duration(Phase::Clearing, world.now() - clearing_started);
@@ -136,7 +182,7 @@ pub(crate) fn drive(
     let escrow_started = world.now();
     let gas_before = world.total_gas();
     for e in plan.escrows() {
-        let cfg = config_of(configs, e.owner);
+        let cfg = &cfgs[e.owner_ix];
         let willing = {
             let ctx = hub.ctx(world, spec, e.owner, Phase::Escrow, None);
             cfg.strategy.is_online(ctx.now) && cfg.strategy.on_escrow(&ctx)
@@ -171,7 +217,7 @@ pub(crate) fn drive(
     let order = plan.transfer_order();
     for (step, idx) in order.iter().enumerate() {
         let t = &plan.transfers()[*idx];
-        let cfg = config_of(configs, t.from);
+        let cfg = &cfgs[t.from_ix];
         let willing = {
             let ctx = hub.ctx(world, spec, t.from, Phase::Transfer, None);
             cfg.strategy.is_online(ctx.now) && cfg.strategy.on_transfer(&ctx)
@@ -200,9 +246,8 @@ pub(crate) fn drive(
     let validation_started = world.now();
     let gas_before = world.total_gas();
     let mut validated: BTreeMap<PartyId, bool> = BTreeMap::new();
-    for pp in plan.parties() {
+    for (pp, cfg) in plan.parties().iter().zip(&cfgs) {
         let p = pp.id;
-        let cfg = config_of(configs, p);
         // The mechanical verdict (escrows present, deal info consistent)
         // rides in the context; the strategy decides whether to accept it.
         let mechanical = validation::validate_timelock_plan(world, pp, &info, &contracts);
@@ -222,13 +267,16 @@ pub(crate) fn drive(
     world.advance_to(t0);
     let commit_started = world.now();
     let gas_before = world.total_gas();
+    // Every path signature the engine builds is stored once, here;
+    // `published` refers to it by index from each chain that accepted it.
+    let mut paths: Vec<PathSignature> = Vec::new();
     let mut published: Vec<PublishedVote> = Vec::new();
+    let mut accepted = AcceptedVotes::new(plan.chains().len(), plan.parties().len());
 
     // Direct votes: each willing party votes on its incoming-asset chains
     // (or on every chain when broadcasting altruistically).
-    for pp in plan.parties() {
+    for (voter_ix, (pp, cfg)) in plan.parties().iter().zip(&cfgs).enumerate() {
         let p = pp.id;
-        let cfg = config_of(configs, p);
         let verdict = validated.get(&p).copied().unwrap_or(false);
         let votes_commit = {
             let ctx = hub.ctx(world, spec, p, Phase::Commit, Some(verdict));
@@ -244,20 +292,23 @@ pub(crate) fn drive(
         };
         let message = info.vote_message(p);
         let key = world.key_pair(p).map_err(DealError::Chain)?.clone();
-        let vote = PathSignature::direct(p, &key, &message);
+        let path = paths.len();
+        paths.push(PathSignature::direct(p, &key, &message));
+        let vote = &paths[path];
         for &chain in target_chains {
-            let contract = contracts[&chain];
+            let chain_ix = index_of_chain(chain);
             let result = world.call(
                 chain,
                 Owner::Party(p),
-                contract,
-                |m: &mut TimelockManager, ctx| m.commit(ctx, &vote),
+                contract_ids[chain_ix],
+                |m: &mut TimelockManager, ctx| m.commit(ctx, vote),
             );
             if result.is_ok() {
+                accepted.insert(chain_ix, voter_ix);
                 published.push(PublishedVote {
-                    chain,
-                    voter: p,
-                    path: vote.clone(),
+                    chain_ix,
+                    voter_ix,
+                    path,
                     published_at: world.now(),
                 });
             }
@@ -267,11 +318,7 @@ pub(crate) fn drive(
     // Forwarding rounds: each round, every willing party forwards the votes it
     // observes on its outgoing-asset chains to its incoming-asset chains.
     // Strong connectivity guarantees every vote reaches every contract within
-    // n rounds; each round costs at most ∆. `accepted` mirrors the contracts'
-    // acceptance state exactly (every vote in `published` was an `Ok` commit),
-    // so the duplicate check never re-reads a contract.
-    let mut accepted: BTreeSet<(ChainId, PartyId)> =
-        published.iter().map(|v| (v.chain, v.voter)).collect();
+    // n rounds; each round costs at most ∆.
     let n_rounds = spec.n_parties();
     for _round in 0..n_rounds {
         if all_resolved(world, &contracts) {
@@ -280,12 +327,11 @@ pub(crate) fn drive(
         advance_one_observation(world);
         // Votes observable this round are exactly those published in earlier
         // rounds: everything pushed below carries `published_at == now` and
-        // fails the `< round_now` filter, so a prefix index replaces the
-        // cloned snapshot of every path signature.
+        // fails the `< round_now` filter, so a prefix index replaces a
+        // snapshot of `published`.
         let visible = published.len();
-        for pp in plan.parties() {
+        for (pp, cfg) in plan.parties().iter().zip(&cfgs) {
             let p = pp.id;
-            let cfg = config_of(configs, p);
             let verdict = validated.get(&p).copied().unwrap_or(false);
             let forwards = {
                 let ctx = hub.ctx(world, spec, p, Phase::Commit, Some(verdict));
@@ -294,50 +340,43 @@ pub(crate) fn drive(
             if !forwards {
                 continue;
             }
-            let outgoing = &pp.outgoing_chains;
-            let incoming = &pp.incoming_chains;
             let key = world.key_pair(p).map_err(DealError::Chain)?.clone();
             let round_now = world.now();
-            let observable: Vec<usize> = (0..visible)
-                .filter(|&i| {
-                    let v = &published[i];
-                    outgoing.contains(&v.chain) && v.published_at < round_now
-                })
-                .collect();
-            for i in observable {
-                let voter = published[i].voter;
-                let from_chain = published[i].chain;
+            for i in 0..visible {
+                let seen = published[i];
+                if seen.published_at >= round_now
+                    || !pp.outgoing_chains.contains(&plan.chains()[seen.chain_ix])
+                {
+                    continue;
+                }
                 // The forwarded signature does not depend on the target
                 // chain, so it is built at most once per observed vote — and
                 // not at all when every target already accepted the voter
                 // (the common case once a vote has circulated).
-                let mut forwarded: Option<PathSignature> = None;
-                for &target in incoming {
-                    if target == from_chain {
+                let mut forwarded: Option<usize> = None;
+                for &target in &pp.incoming_chains {
+                    let target_ix = index_of_chain(target);
+                    if target_ix == seen.chain_ix || accepted.contains(target_ix, seen.voter_ix) {
                         continue;
                     }
-                    // Skip if the target contract already accepted this voter.
-                    if accepted.contains(&(target, voter)) {
-                        continue;
-                    }
-                    if forwarded.is_none() {
-                        let message = info.vote_message(voter);
-                        forwarded = Some(published[i].path.forwarded_by(p, &key, &message));
-                    }
-                    let fwd = forwarded.as_ref().expect("built above");
-                    let contract = contracts[&target];
+                    let path = *forwarded.get_or_insert_with(|| {
+                        let message = info.vote_message(plan.parties()[seen.voter_ix].id);
+                        paths.push(paths[seen.path].forwarded_by(p, &key, &message));
+                        paths.len() - 1
+                    });
+                    let fwd = &paths[path];
                     let result = world.call(
                         target,
                         Owner::Party(p),
-                        contract,
+                        contract_ids[target_ix],
                         |m: &mut TimelockManager, ctx| m.commit(ctx, fwd),
                     );
                     if result.is_ok() {
-                        accepted.insert((target, voter));
+                        accepted.insert(target_ix, seen.voter_ix);
                         published.push(PublishedVote {
-                            chain: target,
-                            voter,
-                            path: fwd.clone(),
+                            chain_ix: target_ix,
+                            voter_ix: seen.voter_ix,
+                            path,
                             published_at: world.now(),
                         });
                     }

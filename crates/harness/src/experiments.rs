@@ -442,10 +442,16 @@ fn matrix_strategy_scenarios(spec: &DealSpec) -> Vec<AdversaryScenario> {
 /// CBC, HTLC swap) over synchronous and eventually-synchronous networks, on a
 /// deal each engine can express, against the named adversary strategies of
 /// [`matrix_strategy_scenarios`]. Reproduces the paper's synchrony story in
-/// one sweep — the CBC commits under both models when everyone is compliant,
-/// the timelock protocol is only guaranteed to commit under synchrony (it
-/// stays *safe* regardless), the swap engine covers the two-party case — and
-/// shows that no strategy, however adaptive, harms a compliant party.
+/// one sweep: the CBC commits under both models when everyone is compliant,
+/// the timelock protocol is only guaranteed to commit under synchrony, and
+/// the swap engine covers the two-party case. Every cell of this sweep is
+/// safe (`protocol_matrix_is_safe_in_every_cell` checks it), but that is a
+/// finding about these cells, not a guarantee off the protocols' timing
+/// models: the HTLC swap assumes synchrony, and on the eventually-synchronous
+/// network other seeds delay a compliant follower's claim past the leader's
+/// timeout, so the follower loses its asset
+/// (`htlc_swap_before_gst_can_strand_a_compliant_follower` pins one such
+/// cell).
 pub fn protocol_matrix_experiment() -> (Vec<MatrixRow>, Table) {
     let outcome = Sweep::new()
         .spec("two-party exchange", two_party_deal())

@@ -18,12 +18,12 @@
 use std::any::Any;
 
 use crate::asset::Asset;
-use crate::crypto::{KeyDirectory, PublicKey, Signature};
+use crate::crypto::{hash_words, Hash, KeyDirectory, PublicKey, Signature};
 use crate::error::{ChainError, ChainResult};
 use crate::gas::GasMeter;
 use crate::ids::{ChainId, ContractId, Owner, PartyId, TokenId};
 use crate::intern::{InternedAsset, KindId, KindTable};
-use crate::ledger::{AssetLedger, LogEntry};
+use crate::ledger::{AssetLedger, EventTag, LogData, LogEntry};
 use crate::time::Time;
 
 /// A blockchain-resident program.
@@ -161,13 +161,26 @@ impl<'a> CallCtx<'a> {
         expected_signer: PublicKey,
         message: &[u64],
     ) -> ChainResult<bool> {
+        self.verify_signature_digest(sig, expected_signer, hash_words(message))
+    }
+
+    /// [`CallCtx::verify_signature`] over a message digest the contract
+    /// already computed, so several signatures over one message (the signers
+    /// of a path signature) hash it once. Charges the same 3000 gas per
+    /// signature.
+    pub fn verify_signature_digest(
+        &mut self,
+        sig: &Signature,
+        expected_signer: PublicKey,
+        digest: Hash,
+    ) -> ChainResult<bool> {
         self.gas
             .charge_sig_verify()
             .map_err(|(used, limit)| ChainError::OutOfGas { used, limit })?;
         if sig.signer != expected_signer {
             return Ok(false);
         }
-        Ok(self.keys.verify_words(sig, message))
+        Ok(self.keys.verify_digest(sig, digest))
     }
 
     /// The chain's shared kind table.
@@ -266,8 +279,11 @@ impl<'a> CallCtx<'a> {
 
     /// Appends an entry to the chain log (an "event"), charging log gas.
     /// Parties monitor chains by reading this log, subject to the network
-    /// model's observation delay.
-    pub fn emit(&mut self, label: &str, data: Vec<u64>) -> ChainResult<()> {
+    /// model's observation delay. The payload is stored inline, so emitting
+    /// allocates nothing; more than [`LogData::CAPACITY`] words is an error
+    /// (and charges nothing).
+    pub fn emit(&mut self, label: &'static str, data: &[u64]) -> ChainResult<()> {
+        let data = LogData::new(data).ok_or(ChainError::LogPayloadTooLong { len: data.len() })?;
         self.gas
             .charge_log_entry()
             .map_err(|(used, limit)| ChainError::OutOfGas { used, limit })?;
@@ -277,8 +293,8 @@ impl<'a> CallCtx<'a> {
             time: self.now,
             contract: Some(self.contract),
             caller: self.caller,
-            tag: crate::ledger::EventTag::parse(label),
-            label: label.to_string(),
+            tag: EventTag::parse(label),
+            label,
             data,
         });
         Ok(())
@@ -431,13 +447,86 @@ mod tests {
                 log: &mut log,
                 log_seq: &mut seq,
             };
-            ctx.emit("escrow", vec![42]).unwrap();
+            ctx.emit("escrow", &[42]).unwrap();
         }
         assert_eq!(log.len(), 1);
         assert_eq!(log[0].label, "escrow");
-        assert_eq!(log[0].data, vec![42]);
+        assert_eq!(log[0].tag, EventTag::Escrow);
+        assert_eq!(*log[0].data, [42]);
         assert_eq!(log[0].time, Time(9));
         assert_eq!(gas.usage().log_entries, 1);
+    }
+
+    #[test]
+    fn log_data_holds_up_to_four_words_inline() {
+        let empty = LogData::new(&[]).unwrap();
+        assert!(empty.is_empty());
+        assert_eq!(empty, LogData::default());
+        let full = LogData::new(&[1, 2, 3, 4]).unwrap();
+        assert_eq!(*full, [1, 2, 3, 4]);
+        assert_eq!(format!("{full:?}"), "[1, 2, 3, 4]");
+        assert_ne!(
+            LogData::new(&[1, 2]).unwrap(),
+            LogData::new(&[1, 2, 0]).unwrap()
+        );
+        assert_eq!(LogData::new(&[1, 2, 3, 4, 5]), None);
+    }
+
+    #[test]
+    fn emit_accepts_zero_to_four_words_and_rejects_five() {
+        let (mut gas, mut assets, keys, mut log, mut seq) = make_ctx_parts();
+        let mut ctx = CallCtx {
+            chain: ChainId(0),
+            contract: ContractId(1),
+            caller: Owner::Party(PartyId(0)),
+            now: Time(0),
+            gas: &mut gas,
+            assets: &mut assets,
+            keys: &keys,
+            log: &mut log,
+            log_seq: &mut seq,
+        };
+        ctx.emit("empty", &[]).unwrap();
+        ctx.emit("full", &[1, 2, 3, 4]).unwrap();
+        assert_eq!(
+            ctx.emit("too-long", &[1, 2, 3, 4, 5]),
+            Err(ChainError::LogPayloadTooLong { len: 5 })
+        );
+        // The rejected entry was neither appended nor charged.
+        assert_eq!(gas.usage().log_entries, 2);
+        assert_eq!(log.len(), 2);
+        assert!(log[0].data.is_empty());
+        assert_eq!(*log[1].data, [1, 2, 3, 4]);
+        assert_eq!(log[1].seq, 2);
+    }
+
+    #[test]
+    fn digest_verification_matches_word_verification_and_charges_per_signature() {
+        let (mut gas, mut assets, mut keys, mut log, mut seq) = make_ctx_parts();
+        let kp = KeyPair::derive(PartyId(0), 7);
+        keys.register(PartyId(0), &kp);
+        let msg = [4, 5, 6];
+        let sig = kp.sign_words(&msg);
+        let mut ctx = CallCtx {
+            chain: ChainId(0),
+            contract: ContractId(1),
+            caller: Owner::Party(PartyId(0)),
+            now: Time(0),
+            gas: &mut gas,
+            assets: &mut assets,
+            keys: &keys,
+            log: &mut log,
+            log_seq: &mut seq,
+        };
+        let digest = hash_words(&msg);
+        assert!(ctx
+            .verify_signature_digest(&sig, kp.public(), digest)
+            .unwrap());
+        assert!(ctx.verify_signature(&sig, kp.public(), &msg).unwrap());
+        assert!(!ctx
+            .verify_signature_digest(&sig, kp.public(), hash_words(&[4, 5]))
+            .unwrap());
+        assert_eq!(gas.usage().sig_verifications, 3);
     }
 
     #[test]

@@ -259,8 +259,10 @@ impl KeyDirectory {
         self.verify_digest(sig, hash_words(words))
     }
 
-    /// The single tag check behind both message encodings.
-    fn verify_digest(&self, sig: &Signature, digest: Hash) -> bool {
+    /// Verifies a signature over a pre-computed message digest: the single
+    /// tag check behind both message encodings, and the path for callers
+    /// that check several signatures over one message.
+    pub(crate) fn verify_digest(&self, sig: &Signature, digest: Hash) -> bool {
         let Some((_, secret)) = self.entries.iter().find(|(pk, _)| *pk == sig.signer) else {
             return false;
         };
@@ -301,9 +303,11 @@ impl PathSignature {
     }
 
     /// Extends the path by one forwarding hop: `forwarder` signs the same
-    /// message and appends its signature.
+    /// message and appends its signature. The new path is allocated once, at
+    /// its final length.
     pub fn forwarded_by(&self, forwarder: PartyId, kp: &KeyPair, message: &[u64]) -> Self {
-        let mut path = self.path.clone();
+        let mut path = Vec::with_capacity(self.path.len() + 1);
+        path.extend_from_slice(&self.path);
         path.push((forwarder, kp.sign_words(message)));
         PathSignature {
             voter: self.voter,
@@ -323,21 +327,18 @@ impl PathSignature {
     }
 
     /// The parties that signed, in signing order.
-    pub fn signers(&self) -> Vec<PartyId> {
-        self.path.iter().map(|(p, _)| *p).collect()
+    pub fn signers(&self) -> impl ExactSizeIterator<Item = PartyId> + '_ {
+        self.path.iter().map(|(p, _)| *p)
     }
 
     /// True if all signing parties are distinct (a contract requirement,
-    /// Figure 5 line 9).
+    /// Figure 5 line 9). Paths are at most one signature per party, so the
+    /// pairwise scan beats allocating a set.
     pub fn signers_unique(&self) -> bool {
-        let mut seen = Vec::with_capacity(self.path.len());
-        for (p, _) in &self.path {
-            if seen.contains(p) {
-                return false;
-            }
-            seen.push(*p);
-        }
-        true
+        self.path
+            .iter()
+            .enumerate()
+            .all(|(i, (p, _))| self.path[..i].iter().all(|(q, _)| q != p))
     }
 }
 
@@ -421,7 +422,7 @@ mod tests {
         let fwd2 = fwd.forwarded_by(PartyId(2), &kps[2], &msg);
         assert_eq!(fwd2.len(), 3);
         assert_eq!(fwd2.voter, PartyId(0));
-        assert_eq!(fwd2.signers(), vec![PartyId(0), PartyId(1), PartyId(2)]);
+        assert!(fwd2.signers().eq([PartyId(0), PartyId(1), PartyId(2)]));
         assert!(fwd2.signers_unique());
         for (p, sig) in &fwd2.path {
             let pk = dir.public_key_of(*p).unwrap();
@@ -445,6 +446,45 @@ mod tests {
             .forwarded_by(PartyId(1), &kps[1], &msg)
             .forwarded_by(PartyId(0), &kps[0], &msg);
         assert!(!p.signers_unique());
+    }
+
+    #[test]
+    fn signers_unique_handles_empty_paths_and_non_adjacent_duplicates() {
+        let (_, kps) = dir_with(&[PartyId(0), PartyId(1), PartyId(2)]);
+        let msg = [1u64];
+        let empty = PathSignature {
+            voter: PartyId(0),
+            path: Vec::new(),
+        };
+        assert!(empty.signers_unique());
+        assert_eq!(empty.signers().len(), 0);
+        // 0 → 1 → 2 → 1: the repeat is two hops away from its first use.
+        let p = PathSignature::direct(PartyId(0), &kps[0], &msg)
+            .forwarded_by(PartyId(1), &kps[1], &msg)
+            .forwarded_by(PartyId(2), &kps[2], &msg)
+            .forwarded_by(PartyId(1), &kps[1], &msg);
+        assert!(!p.signers_unique());
+        let prefix = PathSignature {
+            voter: PartyId(0),
+            path: p.path[..3].to_vec(),
+        };
+        assert!(prefix.signers_unique());
+    }
+
+    #[test]
+    fn forwarding_keeps_signing_order_and_the_original_signatures() {
+        let (_, kps) = dir_with(&[PartyId(0), PartyId(1), PartyId(2)]);
+        let msg = [3u64, 4];
+        let direct = PathSignature::direct(PartyId(2), &kps[2], &msg);
+        let once = direct.forwarded_by(PartyId(0), &kps[0], &msg);
+        let twice = once.forwarded_by(PartyId(1), &kps[1], &msg);
+        assert!(twice.signers().eq([PartyId(2), PartyId(0), PartyId(1)]));
+        // Forwarding copies the existing signatures unchanged and leaves the
+        // source path alone.
+        assert_eq!(twice.path[..2], once.path[..]);
+        assert_eq!(once.len(), 2);
+        assert_eq!(twice.path.capacity(), 3);
+        assert_eq!(twice.path[2].1, kps[1].sign_words(&msg));
     }
 
     #[test]

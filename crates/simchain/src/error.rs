@@ -47,6 +47,12 @@ pub enum ChainError {
         /// The configured limit.
         limit: u64,
     },
+    /// A contract tried to emit a log entry with more payload words than
+    /// [`crate::ledger::LogData::CAPACITY`].
+    LogPayloadTooLong {
+        /// Words the contract tried to emit.
+        len: usize,
+    },
     /// Anything else.
     Other(String),
 }
@@ -84,6 +90,11 @@ impl fmt::Display for ChainError {
             ChainError::OutOfGas { used, limit } => {
                 write!(f, "out of gas: used {used}, limit {limit}")
             }
+            ChainError::LogPayloadTooLong { len } => write!(
+                f,
+                "log payload of {len} words exceeds {}",
+                crate::ledger::LogData::CAPACITY
+            ),
             ChainError::Other(msg) => write!(f, "{msg}"),
         }
     }

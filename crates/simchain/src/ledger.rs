@@ -10,6 +10,7 @@
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
+use std::fmt;
 
 use crate::asset::{Asset, AssetBag, AssetKind};
 use crate::contract::{CallCtx, Contract};
@@ -375,6 +376,48 @@ impl LogFilter {
     }
 }
 
+/// The numeric payload of a [`LogEntry`]: at most [`LogData::CAPACITY`]
+/// words, stored inline so appending an entry allocates nothing. Derefs to
+/// the words actually emitted.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+pub struct LogData {
+    len: u8,
+    // Words past `len` stay zero, so the derived equality is slice equality.
+    words: [u64; LogData::CAPACITY],
+}
+
+impl LogData {
+    /// The most words one entry can carry (every contract event needs ≤ 3).
+    pub const CAPACITY: usize = 4;
+
+    /// Copies `words` inline, or returns `None` if there are more than
+    /// [`LogData::CAPACITY`] of them.
+    pub fn new(words: &[u64]) -> Option<Self> {
+        if words.len() > Self::CAPACITY {
+            return None;
+        }
+        let mut data = LogData {
+            len: words.len() as u8,
+            words: [0; Self::CAPACITY],
+        };
+        data.words[..words.len()].copy_from_slice(words);
+        Some(data)
+    }
+}
+
+impl std::ops::Deref for LogData {
+    type Target = [u64];
+    fn deref(&self) -> &[u64] {
+        &self.words[..self.len as usize]
+    }
+}
+
+impl fmt::Debug for LogData {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// One entry in a chain's public log. Contracts append entries via
 /// [`CallCtx::emit`]; parties monitor chains by reading the log (subject to
 /// the network model's observation delay).
@@ -389,12 +432,12 @@ pub struct LogEntry {
     /// The caller whose transaction produced the entry.
     pub caller: Owner,
     /// A short label, e.g. `"escrow"`, `"commit-vote"`, `"startDeal"`.
-    pub label: String,
+    pub label: &'static str,
     /// The label pre-parsed into the deal vocabulary (set at append time, so
     /// observers never re-match the string).
     pub tag: EventTag,
     /// Numeric payload (ids, amounts, hashes).
-    pub data: Vec<u64>,
+    pub data: LogData,
 }
 
 /// A per-observer position in a chain's log: the index of the first entry the
@@ -690,7 +733,7 @@ mod tests {
         fn bump(&mut self, ctx: &mut CallCtx<'_>, by: u64) -> ChainResult<u64> {
             ctx.charge_storage_write()?;
             self.value += by;
-            ctx.emit("bump", vec![self.value])?;
+            ctx.emit("bump", &[self.value])?;
             Ok(self.value)
         }
     }

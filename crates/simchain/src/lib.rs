@@ -50,7 +50,7 @@ pub use error::{ChainError, ChainResult};
 pub use gas::{GasMeter, GasUsage, GAS_SIG_VERIFY, GAS_STORAGE_WRITE};
 pub use ids::{ChainId, ContractId, DealId, Owner, PartyId, TokenId, ValidatorId};
 pub use intern::{InternedAsset, InternedBag, Interner, KindId, KindTable};
-pub use ledger::{AssetLedger, Blockchain, EventTag, LogCursor, LogEntry, LogFilter};
+pub use ledger::{AssetLedger, Blockchain, EventTag, LogCursor, LogData, LogEntry, LogFilter};
 pub use network::{NetworkModel, OfflineSchedule, OfflineWindow};
 pub use time::{Duration, Time};
 pub use world::World;

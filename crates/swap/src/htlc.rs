@@ -99,7 +99,7 @@ impl HtlcContract {
         ctx.charge_storage_write()?;
         self.asset = Some(asset);
         self.state = HtlcState::Funded;
-        ctx.emit("htlc-funded", vec![self.hashlock.0])?;
+        ctx.emit("htlc-funded", &[self.hashlock.0])?;
         Ok(())
     }
 
@@ -116,7 +116,7 @@ impl HtlcContract {
         self.state = HtlcState::Claimed;
         let asset = self.asset.as_ref().expect("funded");
         ctx.pay_out_interned(self.beneficiary.into(), asset)?;
-        ctx.emit("htlc-claimed", vec![secret])?;
+        ctx.emit("htlc-claimed", &[secret])?;
         Ok(())
     }
 
@@ -128,7 +128,7 @@ impl HtlcContract {
         self.state = HtlcState::Refunded;
         let asset = self.asset.as_ref().expect("funded");
         ctx.pay_out_interned(self.depositor.into(), asset)?;
-        ctx.emit("htlc-refunded", vec![self.hashlock.0])?;
+        ctx.emit("htlc-refunded", &[self.hashlock.0])?;
         Ok(())
     }
 }

@@ -48,7 +48,7 @@ fn hub_views_match_per_party_cursor_views_on_an_adversarial_trace() {
 
     let info = TimelockDealInfo {
         deal: spec.deal,
-        plist: spec.parties.clone(),
+        plist: spec.parties.clone().into(),
         t0: Time(1_000),
         delta: Duration(100),
     };

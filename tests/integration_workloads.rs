@@ -1,10 +1,16 @@
 //! Integration tests over the experiment harness: the regenerated tables must
 //! exhibit the qualitative shapes the paper reports.
 
+use xchain_deals::properties::{check_conservation, check_safety};
+use xchain_deals::{ChainResolution, Deal};
 use xchain_harness::experiments::{
     crossover_experiment, fig3_escrow_costs, fig4_gas, fig7_delays, liveness_experiment,
-    protocol_matrix_experiment, swap_baseline_experiment,
+    protocol_matrix_experiment, swap_baseline_experiment, two_party_deal,
 };
+use xchain_sim::ids::{ChainId, PartyId};
+use xchain_sim::network::NetworkModel;
+use xchain_sim::time::Duration;
+use xchain_swap::SwapEngine;
 
 #[test]
 fn fig4_commit_costs_scale_as_the_paper_says() {
@@ -128,6 +134,43 @@ fn protocol_matrix_is_safe_in_every_cell() {
             assert!(committed, "{deal}/{engine} under synchrony");
         }
     }
+}
+
+#[test]
+fn htlc_swap_before_gst_can_strand_a_compliant_follower() {
+    // The HTLC swap is only safe under synchrony. On an eventually
+    // synchronous network (GST 5∆, pre-GST delays up to 10∆) this seed delays
+    // the follower's claim past the leader's hashlock timeout: the leader
+    // takes the follower's coin *and* refunds its own ticket. Every party is
+    // compliant; the broken assumption is the timing model.
+    let spec = two_party_deal();
+    let run_on = |network| {
+        Deal::new(spec.clone())
+            .network(network)
+            .seed(511)
+            .run(SwapEngine::new(Duration(100)))
+            .unwrap()
+            .outcome
+    };
+
+    let synchronous = run_on(NetworkModel::synchronous(100));
+    assert!(synchronous.committed_everywhere());
+    assert!(check_safety(&spec, &[], &synchronous).holds());
+
+    let before_gst = run_on(NetworkModel::eventually_synchronous(500, 100, 1_000));
+    assert_eq!(
+        before_gst.resolutions[&ChainId(0)],
+        ChainResolution::Aborted
+    );
+    assert_eq!(
+        before_gst.resolutions[&ChainId(1)],
+        ChainResolution::Committed
+    );
+    let report = check_safety(&spec, &[], &before_gst);
+    assert_eq!(report.violations.len(), 1, "{report:?}");
+    assert_eq!(report.violations[0].party, PartyId(1));
+    // Nothing is created or destroyed: the follower's loss is the leader's gain.
+    assert!(check_conservation(&spec, &before_gst));
 }
 
 #[test]
