@@ -23,7 +23,6 @@ use crate::phases::{Phase, PhaseMetrics};
 use crate::plan::DealPlan;
 use crate::setup::advance_one_observation;
 use crate::strategy::{ObservationHub, Vote};
-use crate::timelock::holdings_by_party;
 use crate::{setup, validation};
 
 /// Tunable options for the CBC protocol engine.
@@ -89,7 +88,7 @@ pub(crate) fn drive(
     setup::apply_offline_windows(world, configs);
 
     let mut metrics = PhaseMetrics::new();
-    let initial_holdings = holdings_by_party(world, spec);
+    let initial_holdings = world.holdings_by_party(&spec.parties);
     // Every party's configuration, resolved once and indexed by plan
     // position.
     let cfgs = configs_by_position(&spec.parties, configs);
@@ -316,7 +315,7 @@ pub(crate) fn drive(
     // ------------------------------------------------------------------
     // Collect the outcome.
     // ------------------------------------------------------------------
-    let final_holdings = holdings_by_party(world, spec);
+    let final_holdings = world.holdings_by_party(&spec.parties);
     let mut resolutions = BTreeMap::new();
     for (&chain, &contract) in &contracts {
         let res = world

@@ -20,6 +20,17 @@ pub enum DealError {
     Cbc(CbcError),
     /// The engine was configured inconsistently (e.g. missing party config).
     Config(String),
+    /// Code executing a deal panicked; the panic's message.
+    Panic(String),
+    /// One cell of a sweep failed. `cell` names it (its specification,
+    /// engine, network and adversary labels and its seed); `error` is the
+    /// failure itself.
+    Cell {
+        /// Which cell failed.
+        cell: String,
+        /// What went wrong in it.
+        error: Box<DealError>,
+    },
 }
 
 impl fmt::Display for DealError {
@@ -30,11 +41,20 @@ impl fmt::Display for DealError {
             DealError::Chain(e) => write!(f, "chain error: {e}"),
             DealError::Cbc(e) => write!(f, "CBC error: {e}"),
             DealError::Config(msg) => write!(f, "configuration error: {msg}"),
+            DealError::Panic(msg) => write!(f, "panicked: {msg}"),
+            DealError::Cell { cell, error } => write!(f, "sweep cell {cell}: {error}"),
         }
     }
 }
 
-impl std::error::Error for DealError {}
+impl std::error::Error for DealError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            DealError::Cell { error, .. } => Some(error.as_ref()),
+            _ => None,
+        }
+    }
+}
 
 impl From<ChainError> for DealError {
     fn from(e: ChainError) -> Self {
@@ -61,5 +81,14 @@ mod tests {
         assert!(DealError::NotWellFormed
             .to_string()
             .contains("strongly connected"));
+        let e = DealError::Cell {
+            cell: "spec \"broker\", seed 3".into(),
+            error: Box::new(DealError::Panic("boom".into())),
+        };
+        assert_eq!(
+            e.to_string(),
+            "sweep cell spec \"broker\", seed 3: panicked: boom"
+        );
+        assert!(std::error::Error::source(&e).is_some());
     }
 }

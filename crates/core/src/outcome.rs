@@ -43,6 +43,9 @@ pub enum ChainResolution {
     Unresolved,
 }
 
+/// The holdings of a party missing from an outcome's snapshots.
+static NOTHING: AssetBag = AssetBag::new();
+
 /// The complete, measured outcome of one deal execution.
 #[derive(Debug, Clone)]
 pub struct DealOutcome {
@@ -83,13 +86,13 @@ impl DealOutcome {
     }
 
     /// The initial holdings of a party (empty if unknown).
-    pub fn initial_of(&self, p: PartyId) -> AssetBag {
-        self.initial_holdings.get(&p).cloned().unwrap_or_default()
+    pub fn initial_of(&self, p: PartyId) -> &AssetBag {
+        self.initial_holdings.get(&p).unwrap_or(&NOTHING)
     }
 
     /// The final holdings of a party (empty if unknown).
-    pub fn final_of(&self, p: PartyId) -> AssetBag {
-        self.final_holdings.get(&p).cloned().unwrap_or_default()
+    pub fn final_of(&self, p: PartyId) -> &AssetBag {
+        self.final_holdings.get(&p).unwrap_or(&NOTHING)
     }
 }
 

@@ -12,11 +12,11 @@
 //! * **Property 3 (strong liveness)**: if all parties are compliant, all
 //!   transfers happen.
 
-use xchain_sim::asset::{Asset, AssetBag};
-use xchain_sim::ids::PartyId;
+use xchain_sim::asset::{Asset, AssetBag, AssetKind};
+use xchain_sim::ids::{PartyId, TokenId};
 
 use crate::outcome::{ChainResolution, DealOutcome};
-use crate::party::{config_of, PartyConfig};
+use crate::party::PartyConfig;
 use crate::spec::DealSpec;
 
 /// A violation of the safety property for one party.
@@ -68,7 +68,100 @@ pub fn bag_minus(a: &AssetBag, b: &AssetBag) -> AssetBag {
     out
 }
 
+/// True if `p` follows the protocol under `configs` (parties without a
+/// configuration are compliant, as in [`crate::party::config_of`]).
+fn is_compliant(configs: &[PartyConfig], p: PartyId) -> bool {
+    configs
+        .iter()
+        .find(|c| c.id == p)
+        .is_none_or(PartyConfig::is_compliant)
+}
+
+/// What the specification moves into and out of one party, read straight
+/// from its transfers, one asset kind at a time (the per-kind counterpart
+/// of [`DealSpec::incoming_of`] and [`DealSpec::outgoing_of`], without
+/// building bags).
+struct Agreed<'a> {
+    spec: &'a DealSpec,
+    party: PartyId,
+}
+
+impl<'a> Agreed<'a> {
+    /// The assets the party is to receive.
+    fn incoming(&self) -> impl Iterator<Item = &'a Asset> + '_ {
+        self.spec
+            .transfers
+            .iter()
+            .filter(|t| t.to == self.party)
+            .map(|t| &t.asset)
+    }
+
+    /// The assets the party is to give up.
+    fn outgoing(&self) -> impl Iterator<Item = &'a Asset> + '_ {
+        self.spec
+            .transfers
+            .iter()
+            .filter(|t| t.from == self.party)
+            .map(|t| &t.asset)
+    }
+
+    /// The fungible amount of `kind` among `assets`.
+    fn amount<'b>(assets: impl Iterator<Item = &'b Asset>, kind: &AssetKind) -> u64 {
+        assets
+            .filter_map(|a| match a {
+                Asset::Fungible { kind: k, amount } if k == kind => Some(*amount),
+                _ => None,
+            })
+            .sum()
+    }
+
+    /// True if `token` of `kind` is among `assets`.
+    fn has_token<'b>(
+        mut assets: impl Iterator<Item = &'b Asset>,
+        kind: &AssetKind,
+        token: TokenId,
+    ) -> bool {
+        assets.any(|a| {
+            matches!(a, Asset::NonFungible { kind: k, tokens } if k == kind && tokens.contains(&token))
+        })
+    }
+
+    fn amount_in(&self, kind: &AssetKind) -> u64 {
+        Self::amount(self.incoming(), kind)
+    }
+
+    fn amount_out(&self, kind: &AssetKind) -> u64 {
+        Self::amount(self.outgoing(), kind)
+    }
+
+    fn token_in(&self, kind: &AssetKind, token: TokenId) -> bool {
+        Self::has_token(self.incoming(), kind, token)
+    }
+
+    fn token_out(&self, kind: &AssetKind, token: TokenId) -> bool {
+        Self::has_token(self.outgoing(), kind, token)
+    }
+
+    /// The full-deal balance of a fungible kind for a party that started
+    /// with `initial`: `(initial + incoming) - outgoing`, saturating.
+    fn floor(&self, initial: &AssetBag, kind: &AssetKind) -> u64 {
+        (initial.balance(kind) + self.amount_in(kind)).saturating_sub(self.amount_out(kind))
+    }
+
+    /// True unless the party agreed to give up `token` of `kind`.
+    fn keeps(&self, kind: &AssetKind, token: TokenId) -> bool {
+        !self.token_out(kind, token)
+    }
+}
+
 /// Checks Property 1 (safety) for every compliant party.
+///
+/// A party that lost anything must end at or above the full-deal floor
+/// `(initial + incoming) - outgoing` (incoming may fund outgoing, so the two
+/// are netted — Alice pays Bob out of Carol's coins), and no party may lose
+/// more than its agreed outgoing assets. The check reads the outcome's
+/// holdings by reference, one asset kind at a time, and allocates only to
+/// describe a violation.
 pub fn check_safety(
     spec: &DealSpec,
     configs: &[PartyConfig],
@@ -76,55 +169,85 @@ pub fn check_safety(
 ) -> SafetyReport {
     let mut report = SafetyReport::default();
     for &p in &spec.parties {
-        if !config_of(configs, p).is_compliant() {
+        if !is_compliant(configs, p) {
             continue;
         }
         let initial = outcome.initial_of(p);
         let fin = outcome.final_of(p);
-        let lost = bag_minus(&initial, &fin);
-        let expected_in = spec.incoming_of(p);
-        let expected_out = spec.outgoing_of(p);
-
-        // If any outgoing asset was transferred, all incoming assets must have
-        // been transferred too. In holdings terms: a party that lost anything
-        // must end up at least at the "full deal" floor
-        // `(initial + incoming) - outgoing` (incoming may fund outgoing, so the
-        // two are netted — Alice pays Bob out of Carol's coins).
-        let paid_something = !lost.is_empty();
-        if paid_something {
-            let mut with_incoming = initial.clone();
-            for (kind, amount) in expected_in.fungible_holdings() {
-                with_incoming.add(&Asset::Fungible {
-                    kind: kind.clone(),
-                    amount,
-                });
-            }
-            for (kind, tokens) in expected_in.non_fungible_holdings() {
-                with_incoming.add(&Asset::NonFungible {
-                    kind: kind.clone(),
-                    tokens: tokens.clone(),
-                });
-            }
-            let floor = bag_minus(&with_incoming, &expected_out);
-            if !fin.covers(&floor) {
-                report.violations.push(SafetyViolation {
-                    party: p,
-                    detail: format!(
-                        "paid {lost} but ended with {fin}, below the full-deal floor {floor}"
-                    ),
-                });
+        let agreed = Agreed { spec, party: p };
+        // Whether the party lost anything, and whether it lost something it
+        // did not agree to give up. A lost token it kept the right to is
+        // also below the floor, so only fungible kinds and incoming assets
+        // need the floor test below.
+        let (mut paid, mut over_paid) = (false, false);
+        for (kind, held) in initial.fungible_holdings() {
+            let lost = held.saturating_sub(fin.balance(kind));
+            if lost > 0 {
+                paid = true;
+                over_paid |= lost > agreed.amount_out(kind);
             }
         }
-        if !expected_out.covers(&lost) {
+        for (kind, tokens) in initial.non_fungible_holdings() {
+            for &t in tokens {
+                if !fin.holds_token(kind, t) {
+                    paid = true;
+                    over_paid |= agreed.keeps(kind, t);
+                }
+            }
+        }
+        let below_floor = |kind: &AssetKind| fin.balance(kind) < agreed.floor(initial, kind);
+        let violated = over_paid
+            || (paid
+                && (initial
+                    .fungible_holdings()
+                    .any(|(kind, _)| below_floor(kind))
+                    || agreed.incoming().any(|asset| match asset {
+                        Asset::Fungible { kind, .. } => below_floor(kind),
+                        Asset::NonFungible { kind, tokens } => tokens
+                            .iter()
+                            .any(|&t| agreed.keeps(kind, t) && !fin.holds_token(kind, t)),
+                    })));
+        if violated {
+            describe_violations(spec, p, initial, fin, &mut report);
+        }
+    }
+    report
+}
+
+/// Appends the safety violations of party `p` to `report`, with the detail
+/// text computed over whole bags.
+fn describe_violations(
+    spec: &DealSpec,
+    p: PartyId,
+    initial: &AssetBag,
+    fin: &AssetBag,
+    report: &mut SafetyReport,
+) {
+    let lost = bag_minus(initial, fin);
+    let expected_out = spec.outgoing_of(p);
+    if !lost.is_empty() {
+        let mut with_incoming = initial.clone();
+        for t in spec.transfers.iter().filter(|t| t.to == p) {
+            with_incoming.add(&t.asset);
+        }
+        let floor = bag_minus(&with_incoming, &expected_out);
+        if !fin.covers(&floor) {
             report.violations.push(SafetyViolation {
                 party: p,
                 detail: format!(
-                    "relinquished {lost}, more than the agreed outgoing assets {expected_out}"
+                    "paid {lost} but ended with {fin}, below the full-deal floor {floor}"
                 ),
             });
         }
     }
-    report
+    if !expected_out.covers(&lost) {
+        report.violations.push(SafetyViolation {
+            party: p,
+            detail: format!(
+                "relinquished {lost}, more than the agreed outgoing assets {expected_out}"
+            ),
+        });
+    }
 }
 
 /// Checks Property 2 (weak liveness): every chain where a compliant party
@@ -135,60 +258,53 @@ pub fn check_weak_liveness(
     configs: &[PartyConfig],
     outcome: &DealOutcome,
 ) -> bool {
-    for e in &spec.escrows {
-        if !config_of(configs, e.owner).is_compliant() {
-            continue;
-        }
-        match outcome.resolutions.get(&e.chain) {
-            Some(ChainResolution::Unresolved) | None => return false,
-            _ => {}
-        }
-    }
-    true
+    spec.escrows.iter().all(|e| {
+        !is_compliant(configs, e.owner)
+            || !matches!(
+                outcome.resolutions.get(&e.chain),
+                Some(ChainResolution::Unresolved) | None
+            )
+    })
 }
 
 /// Checks Property 3 (strong liveness): meaningful only when every party is
 /// compliant; in that case every party must end up with exactly
-/// `initial - outgoing + incoming`.
+/// `(initial + incoming) - outgoing` (incoming assets may fund outgoing
+/// ones — Alice pays Bob out of Carol's coins — so they are added before
+/// the outgoing assets are subtracted). Compared one asset kind at a time,
+/// without building bags.
 pub fn check_strong_liveness(
     spec: &DealSpec,
     configs: &[PartyConfig],
     outcome: &DealOutcome,
 ) -> bool {
-    let all_compliant = spec
-        .parties
-        .iter()
-        .all(|p| config_of(configs, *p).is_compliant());
-    if !all_compliant {
+    if !spec.parties.iter().all(|&p| is_compliant(configs, p)) {
         return true; // vacuously true; the property only constrains all-compliant runs
     }
-    for &p in &spec.parties {
+    spec.parties.iter().all(|&p| {
         let initial = outcome.initial_of(p);
         let fin = outcome.final_of(p);
-        let expected_in = spec.incoming_of(p);
-        let expected_out = spec.outgoing_of(p);
-        // expected final = (initial + incoming) - outgoing: incoming assets
-        // may fund outgoing ones (Alice pays Bob out of Carol's coins), so
-        // they are added before the outgoing assets are subtracted.
-        let mut with_incoming = initial.clone();
-        for (kind, amount) in expected_in.fungible_holdings() {
-            with_incoming.add(&Asset::Fungible {
-                kind: kind.clone(),
-                amount,
-            });
-        }
-        for (kind, tokens) in expected_in.non_fungible_holdings() {
-            with_incoming.add(&Asset::NonFungible {
-                kind: kind.clone(),
-                tokens: tokens.clone(),
-            });
-        }
-        let expected = bag_minus(&with_incoming, &expected_out);
-        if !(fin.covers(&expected) && expected.covers(&fin)) {
-            return false;
-        }
-    }
-    true
+        let agreed = Agreed { spec, party: p };
+        let exact = |kind: &AssetKind| fin.balance(kind) == agreed.floor(initial, kind);
+        // A token belongs in the final holdings iff the party started with
+        // it or was to receive it, and did not agree to give it up.
+        let expected = |kind: &AssetKind, t: TokenId| {
+            (initial.holds_token(kind, t) || agreed.token_in(kind, t)) && agreed.keeps(kind, t)
+        };
+        let present = |kind: &AssetKind, t: TokenId| fin.holds_token(kind, t) == expected(kind, t);
+        fin.fungible_holdings().all(|(kind, _)| exact(kind))
+            && initial.fungible_holdings().all(|(kind, _)| exact(kind))
+            && fin
+                .non_fungible_holdings()
+                .all(|(kind, tokens)| tokens.iter().all(|&t| present(kind, t)))
+            && initial
+                .non_fungible_holdings()
+                .all(|(kind, tokens)| tokens.iter().all(|&t| present(kind, t)))
+            && agreed.incoming().all(|asset| match asset {
+                Asset::Fungible { kind, .. } => exact(kind),
+                Asset::NonFungible { kind, tokens } => tokens.iter().all(|&t| present(kind, t)),
+            })
+    })
 }
 
 /// Conservation check used by the property-based tests: the union of all
@@ -197,34 +313,22 @@ pub fn check_strong_liveness(
 /// between the initial and final snapshots for every kind mentioned in the
 /// deal. Note that assets still held by an unresolved escrow contract are not
 /// in any party's hands, so conservation is only required when the outcome is
-/// fully resolved.
+/// fully resolved. Each escrow's kind is summed over the parties once (a
+/// kind escrowed twice is checked twice, with the same answer).
 pub fn check_conservation(spec: &DealSpec, outcome: &DealOutcome) -> bool {
     if !outcome.fully_resolved() {
         return true;
     }
-    let mut kinds: Vec<_> = Vec::new();
-    for e in &spec.escrows {
-        let k = e.asset.kind().clone();
-        if !kinds.contains(&k) {
-            kinds.push(k);
-        }
-    }
-    for kind in kinds {
-        let initial: u64 = spec
-            .parties
-            .iter()
-            .map(|p| outcome.initial_of(*p).balance(&kind))
-            .sum();
-        let fin: u64 = spec
-            .parties
-            .iter()
-            .map(|p| outcome.final_of(*p).balance(&kind))
-            .sum();
-        if initial != fin {
-            return false;
-        }
-    }
-    true
+    spec.escrows.iter().all(|e| {
+        let kind = e.asset.kind();
+        let supply = |snapshot: fn(&DealOutcome, PartyId) -> &AssetBag| -> u64 {
+            spec.parties
+                .iter()
+                .map(|&p| snapshot(outcome, p).balance(kind))
+                .sum()
+        };
+        supply(DealOutcome::initial_of) == supply(DealOutcome::final_of)
+    })
 }
 
 #[cfg(test)]

@@ -15,7 +15,6 @@
 use std::collections::BTreeMap;
 
 use xchain_contracts::timelock::{TimelockDealInfo, TimelockManager};
-use xchain_sim::asset::AssetBag;
 use xchain_sim::crypto::PathSignature;
 use xchain_sim::gas::GasUsage;
 use xchain_sim::ids::{ChainId, ContractId, Owner, PartyId};
@@ -28,7 +27,6 @@ use crate::party::{configs_by_position, PartyConfig};
 use crate::phases::{Phase, PhaseMetrics};
 use crate::plan::DealPlan;
 use crate::setup::advance_one_observation;
-use crate::spec::DealSpec;
 use crate::strategy::{ObservationHub, Vote};
 use crate::{setup, validation};
 
@@ -132,7 +130,7 @@ pub(crate) fn drive(
     setup::apply_offline_windows(world, configs);
 
     let mut metrics = PhaseMetrics::new();
-    let initial_holdings = holdings_by_party(world, spec);
+    let initial_holdings = world.holdings_by_party(&spec.parties);
     // Every party's configuration, resolved once and indexed by plan
     // position.
     let cfgs = configs_by_position(&spec.parties, configs);
@@ -416,7 +414,7 @@ pub(crate) fn drive(
     // ------------------------------------------------------------------
     // Collect the outcome.
     // ------------------------------------------------------------------
-    let final_holdings = holdings_by_party(world, spec);
+    let final_holdings = world.holdings_by_party(&spec.parties);
     let mut resolutions = BTreeMap::new();
     for (&chain, &contract) in &contracts {
         let res = world
@@ -466,14 +464,6 @@ fn all_resolved(world: &World, contracts: &BTreeMap<ChainId, ContractId>) -> boo
     })
 }
 
-/// Snapshot of every deal party's holdings across all chains.
-pub(crate) fn holdings_by_party(world: &World, spec: &DealSpec) -> BTreeMap<PartyId, AssetBag> {
-    spec.parties
-        .iter()
-        .map(|&p| (p, world.holdings(Owner::Party(p))))
-        .collect()
-}
-
 /// The gas usage attributable to the deal so far (convenience used by tests).
 pub fn total_gas(world: &World) -> GasUsage {
     world.total_gas()
@@ -486,6 +476,7 @@ mod tests {
     use crate::deal::{Deal, DealRun};
     use crate::engine::Protocol;
     use crate::party::Deviation;
+    use crate::spec::DealSpec;
     use xchain_sim::asset::Asset;
     use xchain_sim::network::NetworkModel;
 

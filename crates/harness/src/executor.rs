@@ -32,8 +32,10 @@ pub fn available_threads() -> usize {
 /// results **in job-index order** (as if computed by a serial loop).
 ///
 /// `job` must be safe to call concurrently from several threads (`Sync`); the
-/// sweep satisfies this by giving every cell its own engine and world. Panics
-/// in a job propagate to the caller once all workers have joined.
+/// sweep satisfies this by sharing only `Sync` state between cells (its
+/// engines and plans, built once per run) while each cell builds its own
+/// world. Panics in a job propagate to the caller once all workers have
+/// joined (the sweep catches them inside each cell first).
 pub fn run_indexed<T, F>(jobs: usize, threads: usize, job: F) -> Vec<T>
 where
     T: Send,

@@ -12,7 +12,9 @@
 //! and builds each engine once: every cell that runs a given spec reuses its
 //! plan (worlds are built from forks of the plan's kind table), and workers
 //! share the hoisted engine values instead of re-invoking the factories per
-//! cell.
+//! cell. A cell keeps only the engine's result: its world is dropped on the
+//! worker that built it, and its point shares the specification and the
+//! scenario's configurations with every other point that ran them.
 //!
 //! ```
 //! use xchain_harness::sweep::{standard_engines, Sweep};
@@ -37,14 +39,15 @@
 //! assert!(outcome.points.iter().all(|p| p.run.outcome.fully_resolved()));
 //! ```
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 
-use xchain_deals::engine::{DealEngine, Protocol};
+use xchain_deals::engine::{DealEngine, EngineRun, Protocol};
 use xchain_deals::error::DealError;
-use xchain_deals::party::PartyConfig;
+use xchain_deals::party::{fresh_configs, PartyConfig};
 use xchain_deals::plan::DealPlan;
+use xchain_deals::setup;
 use xchain_deals::spec::DealSpec;
-use xchain_deals::{Deal, DealRun};
 use xchain_sim::network::NetworkModel;
 use xchain_sim::time::Duration;
 use xchain_swap::SwapEngine;
@@ -96,6 +99,16 @@ pub fn protocol_engines() -> Vec<(String, EngineFactory)> {
 }
 
 /// One executed cell of a sweep.
+///
+/// A point keeps the engine's result, not the world the cell ran in: the
+/// world is dropped on the worker that built it as soon as the engine
+/// returns. To inspect a cell's world (post-mortem holdings, contract
+/// state), run the cell again through the [`Deal`](xchain_deals::Deal)
+/// builder, whose [`DealRun`](xchain_deals::DealRun) carries the world.
+/// Deals are deterministic, so
+/// `Deal::new(DealSpec::clone(&p.deal)).network(model).parties(&p.configs)
+/// .seed(p.seed).run(engine)`, with the network model and engine the sweep
+/// declared under `p.network` and `p.engine`, reproduces the point's outcome.
 #[derive(Debug)]
 pub struct SweepPoint {
     /// Label of the deal specification.
@@ -106,14 +119,18 @@ pub struct SweepPoint {
     pub network: String,
     /// Label of the adversary scenario.
     pub adversary: String,
-    /// The specification that ran (for property checks over the point).
-    pub deal: DealSpec,
-    /// The party configurations that were in force.
-    pub configs: Vec<PartyConfig>,
+    /// The specification that ran (for property checks over the point),
+    /// shared by every point of that specification.
+    pub deal: Arc<DealSpec>,
+    /// The party configurations that were in force, shared by every point
+    /// of that scenario (each cell ran on fresh copies of stateful
+    /// strategies).
+    pub configs: Arc<[PartyConfig]>,
     /// The seed the cell ran with.
     pub seed: u64,
-    /// The unified result.
-    pub run: DealRun,
+    /// The engine's result: outcome, contracts and protocol-specific
+    /// evidence.
+    pub run: EngineRun,
 }
 
 /// The result of a sweep: every executed point, plus how many cells were
@@ -135,7 +152,8 @@ impl SweepOutcome {
 }
 
 /// A declarative sweep over specifications × engines × networks × adversary
-/// scenarios. Every cell is executed through the [`Deal`] builder with a
+/// scenarios. Every cell runs its engine as
+/// [`Deal::run_planned`](xchain_deals::Deal::run_planned) would, with a
 /// deterministic per-cell seed, so sweeps are reproducible end to end — and
 /// cells run in parallel on [`Sweep::threads`] workers without changing the
 /// outcome.
@@ -152,6 +170,19 @@ impl Default for Sweep {
     fn default() -> Self {
         Sweep::new()
     }
+}
+
+/// What a run prepares serially before any cell executes, indexed like the
+/// sweep's axes.
+struct Prepared {
+    /// One shared copy of each specification.
+    deals: Vec<Arc<DealSpec>>,
+    /// Each specification's labelled scenarios, configurations shared.
+    scenarios: Vec<Vec<(String, Arc<[PartyConfig]>)>>,
+    /// Each engine, built once.
+    engines: Vec<Box<dyn DealEngine + Send + Sync>>,
+    /// Each specification's plan.
+    plans: Vec<DealPlan>,
 }
 
 /// One enumerated cell: indices into the sweep's axes plus the derived seed.
@@ -231,6 +262,10 @@ impl Sweep {
     }
 
     /// Executes the full cross-product and collects every point.
+    ///
+    /// A cell that fails — its engine returns an error, or anything in it
+    /// panics — fails the sweep with a [`DealError::Cell`] that names the
+    /// cell; a panic arrives as [`DealError::Panic`] inside it.
     pub fn run(&self) -> Result<SweepOutcome, DealError> {
         // Phase 1 (serial): generate scenarios, build each engine once
         // (hoisted out of the cell loop — cells share them by reference),
@@ -238,30 +273,42 @@ impl Sweep {
         // that spec), and enumerate the executable cells in declaration
         // order. This fixes each cell's seed and output slot before any
         // execution happens.
-        let scenarios: Vec<Vec<AdversaryScenario>> = self
-            .specs
-            .iter()
-            .map(|(_, spec)| (self.adversaries)(spec))
-            .collect();
-        let engines: Vec<Box<dyn DealEngine + Send + Sync>> =
-            self.engines.iter().map(|(_, make)| make()).collect();
-        let plans: Vec<DealPlan> = self
-            .specs
-            .iter()
-            .map(|(_, spec)| DealPlan::new(spec))
-            .collect::<Result<_, _>>()?;
+        let prepared = Prepared {
+            deals: self
+                .specs
+                .iter()
+                .map(|(_, spec)| Arc::new(spec.clone()))
+                .collect(),
+            scenarios: self
+                .specs
+                .iter()
+                .map(|(_, spec)| {
+                    (self.adversaries)(spec)
+                        .into_iter()
+                        .map(|(label, configs)| (label, configs.into()))
+                        .collect()
+                })
+                .collect(),
+            engines: self.engines.iter().map(|(_, make)| make()).collect(),
+            plans: self
+                .specs
+                .iter()
+                .map(|(_, spec)| DealPlan::new(spec))
+                .collect::<Result<_, _>>()?,
+        };
 
         let mut cells = Vec::new();
         let mut skipped = 0;
         let mut cell = 0u64;
         for (spec_ix, (_, spec)) in self.specs.iter().enumerate() {
-            for (engine_ix, probe) in engines.iter().enumerate() {
+            let scenarios = prepared.scenarios[spec_ix].len();
+            for (engine_ix, probe) in prepared.engines.iter().enumerate() {
                 if !probe.supports(spec) {
-                    skipped += self.networks.len() * scenarios[spec_ix].len();
+                    skipped += self.networks.len() * scenarios;
                     continue;
                 }
                 for net_ix in 0..self.networks.len() {
-                    for adv_ix in 0..scenarios[spec_ix].len() {
+                    for adv_ix in 0..scenarios {
                         let seed = self.base_seed.wrapping_add(cell);
                         cell += 1;
                         cells.push(Cell {
@@ -276,21 +323,33 @@ impl Sweep {
             }
         }
 
-        // Phase 2 (parallel): run the cells on the pool. Every worker builds
-        // its own engine per cell; results come back in cell order. A cell
-        // error fails the sweep fast: workers stop executing new cells once
-        // one has failed (serial runs therefore report the first error in
-        // cell order; parallel runs report the earliest-indexed error among
-        // the cells that ran before the flag was seen).
+        // Phase 2 (parallel): run the cells on the pool. Workers share the
+        // engines and plans built in phase 1; each cell builds its own world
+        // and drops it before returning its point. Results come back in cell
+        // order. A cell error fails the sweep fast: workers stop executing
+        // new cells once one has failed (serial runs therefore report the
+        // first error in cell order; parallel runs report the
+        // earliest-indexed error among the cells that ran before the flag
+        // was seen).
         let threads = self.threads.unwrap_or_else(executor::available_threads);
         let first_err: Mutex<Option<(usize, DealError)>> = Mutex::new(None);
         let points: Vec<Option<SweepPoint>> = executor::run_indexed(cells.len(), threads, |i| {
             if first_err.lock().expect("sweep error slot").is_some() {
                 return None;
             }
-            match self.run_cell(&cells[i], &scenarios, &engines, &plans) {
+            let cell = &cells[i];
+            // A panic is reported, not resumed: once the error slot is set,
+            // workers claim no more cells and the sweep returns no points,
+            // so nothing a panicking cell left half-updated is read again.
+            let result = panic::catch_unwind(AssertUnwindSafe(|| self.run_cell(cell, &prepared)))
+                .unwrap_or_else(|payload| Err(DealError::Panic(panic_message(payload.as_ref()))));
+            match result {
                 Ok(point) => Some(point),
                 Err(e) => {
+                    let e = DealError::Cell {
+                        cell: self.describe(cell, &prepared),
+                        error: Box::new(e),
+                    };
                     let mut slot = first_err.lock().expect("sweep error slot");
                     if slot.as_ref().is_none_or(|(j, _)| i < *j) {
                         *slot = Some((i, e));
@@ -307,34 +366,53 @@ impl Sweep {
     }
 
     /// Executes one enumerated cell (on whichever worker claimed it), reusing
-    /// the hoisted engine and the specification's shared plan.
-    fn run_cell(
-        &self,
-        cell: &Cell,
-        scenarios: &[Vec<AdversaryScenario>],
-        engines: &[Box<dyn DealEngine + Send + Sync>],
-        plans: &[DealPlan],
-    ) -> Result<SweepPoint, DealError> {
-        let (spec_label, spec) = &self.specs[cell.spec_ix];
+    /// the hoisted engine and the specification's shared plan. This is what
+    /// [`Deal::run_planned`](xchain_deals::Deal::run_planned) does, except
+    /// that the world is dropped here, on the worker that built it, instead
+    /// of travelling with the result.
+    fn run_cell(&self, cell: &Cell, prepared: &Prepared) -> Result<SweepPoint, DealError> {
+        let (spec_label, _) = &self.specs[cell.spec_ix];
         let (engine_label, _) = &self.engines[cell.engine_ix];
         let (net_label, network) = &self.networks[cell.net_ix];
-        let (adv_label, configs) = &scenarios[cell.spec_ix][cell.adv_ix];
-        let run = Deal::new(spec.clone())
-            .network(*network)
-            .parties(configs)
-            .seed(cell.seed)
-            .run_planned(&plans[cell.spec_ix], &engines[cell.engine_ix])?;
+        let (adv_label, configs) = &prepared.scenarios[cell.spec_ix][cell.adv_ix];
+        let plan = &prepared.plans[cell.spec_ix];
+        let mut world = setup::world_for_plan(plan, *network, cell.seed)?;
+        let run =
+            prepared.engines[cell.engine_ix].execute(&mut world, plan, &fresh_configs(configs))?;
+        drop(world);
         Ok(SweepPoint {
             spec: spec_label.clone(),
             engine: engine_label.clone(),
             network: net_label.clone(),
             adversary: adv_label.clone(),
-            deal: spec.clone(),
+            deal: prepared.deals[cell.spec_ix].clone(),
             configs: configs.clone(),
             seed: cell.seed,
             run,
         })
     }
+
+    /// Names a cell for error messages: its four labels and its seed.
+    fn describe(&self, cell: &Cell, prepared: &Prepared) -> String {
+        format!(
+            "spec {:?}, engine {:?}, network {:?}, adversary {:?}, seed {}",
+            self.specs[cell.spec_ix].0,
+            self.engines[cell.engine_ix].0,
+            self.networks[cell.net_ix].0,
+            prepared.scenarios[cell.spec_ix][cell.adv_ix].0,
+            cell.seed
+        )
+    }
+}
+
+/// The message of a panic payload (`panic!` with a literal or a format
+/// string), or a placeholder for other payloads.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "a non-string panic payload".into())
 }
 
 #[cfg(test)]
@@ -342,8 +420,11 @@ mod tests {
     use super::*;
     use crate::adversary::single_deviator_configs;
     use xchain_deals::builders::{broker_spec, ring_spec};
+    use xchain_deals::outcome::ProtocolKind;
     use xchain_deals::properties::check_safety;
-    use xchain_sim::ids::DealId;
+    use xchain_deals::Deal;
+    use xchain_sim::ids::{DealId, Owner};
+    use xchain_sim::world::World;
 
     #[test]
     fn sweep_covers_the_cross_product_and_skips_unsupported_cells() {
@@ -406,13 +487,10 @@ mod tests {
         }
     }
 
-    /// A failing cell fails the sweep (fail-fast), at any thread count.
+    /// A failing cell fails the sweep (fail-fast), at any thread count, and
+    /// the error names the first cell in cell order.
     #[test]
     fn cell_errors_fail_the_sweep() {
-        use xchain_deals::engine::EngineRun;
-        use xchain_deals::outcome::ProtocolKind;
-        use xchain_sim::world::World;
-
         #[derive(Clone)]
         struct FailingEngine;
         impl DealEngine for FailingEngine {
@@ -436,7 +514,121 @@ mod tests {
                 .threads(threads)
                 .run()
                 .unwrap_err();
-            assert!(matches!(err, DealError::Config(_)), "threads={threads}");
+            let DealError::Cell { cell, error } = err else {
+                panic!("threads={threads}: {err:?} does not name its cell");
+            };
+            assert!(matches!(*error, DealError::Config(_)), "threads={threads}");
+            assert_eq!(
+                cell,
+                "spec \"broker\", engine \"failing\", network \"synchronous ∆=100\", \
+                 adversary \"all compliant\", seed 0",
+                "threads={threads}"
+            );
+        }
+    }
+
+    /// Runs the timelock protocol, but panics in the cell whose world was
+    /// built with `seed`.
+    #[derive(Clone)]
+    struct PanicsOnSeed(u64);
+
+    impl DealEngine for PanicsOnSeed {
+        fn kind(&self) -> ProtocolKind {
+            ProtocolKind::Timelock
+        }
+        fn execute(
+            &self,
+            world: &mut World,
+            plan: &DealPlan,
+            configs: &[PartyConfig],
+        ) -> Result<EngineRun, DealError> {
+            assert_ne!(world.seed(), self.0, "engine bug in this cell");
+            Protocol::timelock().execute(world, plan, configs)
+        }
+    }
+
+    /// A panicking cell does not abort the caller: the sweep returns an error
+    /// that names the cell and carries the panic message.
+    #[test]
+    fn a_panicking_cell_is_an_error_that_names_it() {
+        for threads in [1, 4] {
+            let err = Sweep::new()
+                .spec("broker", broker_spec())
+                .spec("ring n=4", ring_spec(DealId(4), 4))
+                .over_protocols(vec![("flaky".into(), engine_factory(PanicsOnSeed(105)))])
+                .over_adversaries(|spec| {
+                    single_deviator_configs(spec, 100)
+                        .into_iter()
+                        .enumerate()
+                        .map(|(i, c)| (format!("deviator #{i}"), c))
+                        .collect()
+                })
+                .seed(100)
+                .threads(threads)
+                .run()
+                .unwrap_err();
+            let DealError::Cell { cell, error } = err else {
+                panic!("threads={threads}: {err:?} does not name its cell");
+            };
+            // Seeds count cells from the base seed: cell 5 is the sixth
+            // deviator scenario of the first spec.
+            assert_eq!(
+                cell,
+                "spec \"broker\", engine \"flaky\", network \"synchronous ∆=100\", \
+                 adversary \"deviator #5\", seed 105",
+                "threads={threads}"
+            );
+            let DealError::Panic(message) = *error else {
+                panic!("threads={threads}: {error:?} is not a panic");
+            };
+            assert!(message.contains("engine bug in this cell"), "{message}");
+        }
+    }
+
+    /// A point's world is rebuilt by running its cell again through the
+    /// `Deal` builder: the rerun reproduces the point's outcome, and its
+    /// world holds the point's final holdings.
+    #[test]
+    fn a_points_world_is_rebuilt_through_deal() {
+        let engines = standard_engines(100);
+        let network = NetworkModel::eventually_synchronous(300, 100, 600);
+        let outcome = Sweep::new()
+            .spec("broker", broker_spec())
+            .over_protocols(engines.clone())
+            .over_networks(vec![("eventually sync".into(), network)])
+            .over_adversaries(|spec| {
+                let mut scenarios = vec![("all compliant".to_string(), Vec::new())];
+                scenarios.extend(
+                    single_deviator_configs(spec, 100)
+                        .into_iter()
+                        .take(4)
+                        .enumerate()
+                        .map(|(i, c)| (format!("deviator #{i}"), c)),
+                );
+                scenarios
+            })
+            .seed(5)
+            .run()
+            .unwrap();
+        assert_eq!(outcome.points.len(), 2 * 5);
+        for p in &outcome.points {
+            let (_, make) = engines.iter().find(|(l, _)| *l == p.engine).unwrap();
+            let rerun = Deal::new(DealSpec::clone(&p.deal))
+                .network(network)
+                .parties(&p.configs)
+                .seed(p.seed)
+                .run(make())
+                .unwrap();
+            assert_eq!(
+                format!("{:?}", rerun.outcome),
+                format!("{:?}", p.run.outcome),
+                "{} / {}",
+                p.engine,
+                p.adversary
+            );
+            for (&party, bag) in &p.run.outcome.final_holdings {
+                assert_eq!(&rerun.world.holdings(Owner::Party(party)), bag);
+            }
         }
     }
 

@@ -34,6 +34,14 @@ impl fmt::Display for AssetKind {
     }
 }
 
+/// Lets bags look a kind up by its name without building an `AssetKind`
+/// (the derived order is the name's order, as `Borrow` requires).
+impl std::borrow::Borrow<str> for AssetKind {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
 impl From<&str> for AssetKind {
     fn from(s: &str) -> Self {
         AssetKind(s.to_string())
@@ -133,21 +141,47 @@ pub struct AssetBag {
 
 impl AssetBag {
     /// Creates an empty bag.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        AssetBag {
+            fungible: BTreeMap::new(),
+            non_fungible: BTreeMap::new(),
+        }
     }
 
     /// Adds an asset to the bag.
     pub fn add(&mut self, asset: &Asset) {
         match asset {
-            Asset::Fungible { kind, amount } => {
-                *self.fungible.entry(kind.clone()).or_insert(0) += amount;
+            Asset::Fungible { kind, amount } => self.add_fungible(kind.name(), *amount),
+            Asset::NonFungible { kind, tokens } => match self.non_fungible.get_mut(kind) {
+                Some(held) => held.extend(tokens.iter().copied()),
+                None => {
+                    self.non_fungible.insert(kind.clone(), tokens.clone());
+                }
+            },
+        }
+    }
+
+    /// Adds a fungible amount of the kind named `kind`. The name is copied
+    /// only when the bag does not hold that kind yet.
+    pub fn add_fungible(&mut self, kind: &str, amount: u64) {
+        match self.fungible.get_mut(kind) {
+            Some(held) => *held += amount,
+            None => {
+                self.fungible.insert(AssetKind::new(kind), amount);
             }
-            Asset::NonFungible { kind, tokens } => {
+        }
+    }
+
+    /// Adds one token of the kind named `kind`. The name is copied only when
+    /// the bag does not hold that kind yet.
+    pub fn add_token(&mut self, kind: &str, token: TokenId) {
+        match self.non_fungible.get_mut(kind) {
+            Some(held) => {
+                held.insert(token);
+            }
+            None => {
                 self.non_fungible
-                    .entry(kind.clone())
-                    .or_default()
-                    .extend(tokens.iter().copied());
+                    .insert(AssetKind::new(kind), BTreeSet::from([token]));
             }
         }
     }
@@ -205,6 +239,13 @@ impl AssetBag {
         self.non_fungible.get(kind).cloned().unwrap_or_default()
     }
 
+    /// True if the bag holds `token` of `kind`.
+    pub fn holds_token(&self, kind: &AssetKind, token: TokenId) -> bool {
+        self.non_fungible
+            .get(kind)
+            .is_some_and(|held| held.contains(&token))
+    }
+
     /// True if the bag holds nothing.
     pub fn is_empty(&self) -> bool {
         self.fungible.values().all(|v| *v == 0) && self.non_fungible.values().all(|s| s.is_empty())
@@ -220,8 +261,7 @@ impl AssetBag {
             }
         }
         for (kind, tokens) in &other.non_fungible {
-            let held = self.tokens(kind);
-            if !tokens.iter().all(|t| held.contains(t)) {
+            if !tokens.iter().all(|t| self.holds_token(kind, *t)) {
                 return false;
             }
         }

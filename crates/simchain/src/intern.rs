@@ -142,6 +142,13 @@ impl KindTable {
             .map(AssetKind::new)
     }
 
+    /// Runs `f` with read access to the interner, so a caller that names many
+    /// ids can borrow each name instead of allocating it. `f` must not use
+    /// this table (or a handle sharing it) itself.
+    pub fn with_interner<R>(&self, f: impl FnOnce(&Interner) -> R) -> R {
+        f(&self.inner.read().expect("interner lock"))
+    }
+
     /// The name behind an id, or `"?"` for unknown ids (error messages).
     pub fn name_of(&self, id: KindId) -> String {
         self.inner

@@ -18,7 +18,7 @@ use crate::crypto::{KeyDirectory, KeyPair};
 use crate::error::{ChainError, ChainResult};
 use crate::gas::{GasMeter, GasUsage};
 use crate::ids::{ChainId, ContractId, Owner, PartyId, TokenId};
-use crate::intern::{InternedAsset, KindId, KindTable};
+use crate::intern::{InternedAsset, Interner, KindId, KindTable};
 use crate::time::{Duration, Time};
 
 /// Authoritative record of who owns what on one chain.
@@ -244,28 +244,43 @@ impl AssetLedger {
     /// Everything `owner` holds on this chain (reporting path: resolves ids
     /// back to names).
     pub fn holdings(&self, owner: Owner) -> AssetBag {
-        let mut bag = AssetBag::new();
-        for ((o, kind), amount) in &self.fungible {
-            if *o == owner && *amount > 0 {
-                if let Some(name) = self.kinds.resolve(*kind) {
-                    bag.add(&Asset::Fungible {
-                        kind: name,
-                        amount: *amount,
-                    });
+        let mut bags = BTreeMap::from([(owner, AssetBag::new())]);
+        self.kinds
+            .with_interner(|names| self.collect_holdings(&mut bags, names));
+        bags.into_values().next().unwrap_or_default()
+    }
+
+    /// Adds what every owner keyed in `bags` holds on this chain to its bag,
+    /// in one walk: a range query on the `(Owner, KindId)` balances per
+    /// owner, and one scan of the token map for all owners together. Kind
+    /// names are borrowed from `names`, which must be (a read of) this
+    /// ledger's kind table.
+    pub(crate) fn collect_holdings<K: HoldingsKey>(
+        &self,
+        bags: &mut BTreeMap<K, AssetBag>,
+        names: &Interner,
+    ) {
+        for (key, bag) in bags.iter_mut() {
+            let owner = key.owner();
+            let balances = self
+                .fungible
+                .range((owner, KindId(0))..=(owner, KindId(u32::MAX)));
+            for (&(_, kind), &amount) in balances {
+                if amount > 0 {
+                    if let Some(name) = names.resolve(kind) {
+                        bag.add_fungible(name, amount);
+                    }
                 }
             }
         }
-        for ((kind, token), o) in &self.non_fungible {
-            if *o == owner {
-                if let Some(name) = self.kinds.resolve(*kind) {
-                    bag.add(&Asset::NonFungible {
-                        kind: name,
-                        tokens: [*token].into_iter().collect(),
-                    });
-                }
+        for (&(kind, token), &owner) in &self.non_fungible {
+            let Some(bag) = K::of(owner).and_then(|key| bags.get_mut(&key)) else {
+                continue;
+            };
+            if let Some(name) = names.resolve(kind) {
+                bag.add_token(name, token);
             }
         }
-        bag
     }
 
     /// Total supply of a fungible kind across all owners (conservation checks).
@@ -292,6 +307,33 @@ impl AssetLedger {
         owners.sort();
         owners.dedup();
         owners
+    }
+}
+
+/// The owners a holdings walk can key its bags by: any [`Owner`], or a
+/// [`PartyId`] for the per-party snapshots the deal engines take.
+pub(crate) trait HoldingsKey: Ord + Copy {
+    /// The ledger owner behind the key.
+    fn owner(self) -> Owner;
+    /// The key of a ledger owner, if it is one this key type names.
+    fn of(owner: Owner) -> Option<Self>;
+}
+
+impl HoldingsKey for Owner {
+    fn owner(self) -> Owner {
+        self
+    }
+    fn of(owner: Owner) -> Option<Self> {
+        Some(owner)
+    }
+}
+
+impl HoldingsKey for PartyId {
+    fn owner(self) -> Owner {
+        Owner::Party(self)
+    }
+    fn of(owner: Owner) -> Option<Self> {
+        owner.as_party()
     }
 }
 

@@ -18,7 +18,7 @@ use crate::error::{ChainError, ChainResult};
 use crate::gas::GasUsage;
 use crate::ids::{ChainId, ContractId, Owner, PartyId};
 use crate::intern::KindTable;
-use crate::ledger::Blockchain;
+use crate::ledger::{Blockchain, HoldingsKey};
 use crate::network::{NetworkModel, OfflineSchedule};
 use crate::time::{Duration, Time};
 
@@ -280,23 +280,34 @@ impl World {
 
     /// Everything `owner` holds across all chains.
     pub fn holdings(&self, owner: Owner) -> AssetBag {
-        let mut bag = AssetBag::new();
-        for chain in self.chains.values() {
-            let chain_bag = chain.holdings(owner);
-            for (kind, amount) in chain_bag.fungible_holdings() {
-                bag.add(&Asset::Fungible {
-                    kind: kind.clone(),
-                    amount,
-                });
+        self.collect_holdings(BTreeMap::from([(owner, AssetBag::new())]))
+            .into_values()
+            .next()
+            .unwrap_or_default()
+    }
+
+    /// Everything each of `parties` holds across all chains, keyed by party
+    /// (a party that holds nothing maps to an empty bag). This is the deal
+    /// engines' before/after snapshot: it walks each chain once for all the
+    /// parties and borrows kind names from the kind table, copying a name
+    /// only into a bag that does not hold that kind yet.
+    pub fn holdings_by_party(&self, parties: &[PartyId]) -> BTreeMap<PartyId, AssetBag> {
+        self.collect_holdings(parties.iter().map(|&p| (p, AssetBag::new())).collect())
+    }
+
+    /// Fills `bags` with what each keyed owner holds on every chain. Every
+    /// chain shares the world's kind table, so one read of it names the
+    /// kinds of the whole walk.
+    fn collect_holdings<K: HoldingsKey>(
+        &self,
+        mut bags: BTreeMap<K, AssetBag>,
+    ) -> BTreeMap<K, AssetBag> {
+        self.kinds.with_interner(|names| {
+            for chain in self.chains.values() {
+                chain.assets().collect_holdings(&mut bags, names);
             }
-            for (kind, tokens) in chain_bag.non_fungible_holdings() {
-                bag.add(&Asset::NonFungible {
-                    kind: kind.clone(),
-                    tokens: tokens.clone(),
-                });
-            }
-        }
-        bag
+        });
+        bags
     }
 
     /// Total gas used across all chains.
@@ -362,6 +373,58 @@ mod tests {
         let bag = w.holdings(Owner::Party(p));
         assert_eq!(bag.balance(&"coin".into()), 10);
         assert!(bag.contains(&Asset::non_fungible("ticket", [1])));
+    }
+
+    #[test]
+    fn holdings_by_party_matches_per_owner_holdings() {
+        use crate::ids::ContractId;
+
+        let mut w = World::new(2);
+        let coins = w.add_chain("coins", Duration(1));
+        let more_coins = w.add_chain("more coins", Duration(1));
+        let tickets = w.add_chain("tickets", Duration(1));
+        let [a, b, idle] = [w.add_party(), w.add_party(), w.add_party()];
+        let escrow = Owner::Contract(ContractId(0));
+        w.mint(coins, Owner::Party(a), &Asset::fungible("coin", 10))
+            .unwrap();
+        // The same kind on a second chain adds up.
+        w.mint(more_coins, Owner::Party(a), &Asset::fungible("coin", 5))
+            .unwrap();
+        w.mint(coins, Owner::Party(b), &Asset::fungible("gold", 3))
+            .unwrap();
+        w.mint(coins, escrow, &Asset::fungible("coin", 7)).unwrap();
+        w.mint(
+            tickets,
+            Owner::Party(a),
+            &Asset::non_fungible("ticket", [1, 4]),
+        )
+        .unwrap();
+        w.mint(
+            tickets,
+            Owner::Party(b),
+            &Asset::non_fungible("ticket", [2]),
+        )
+        .unwrap();
+        w.mint(tickets, escrow, &Asset::non_fungible("ticket", [3]))
+            .unwrap();
+
+        let snapshot = w.holdings_by_party(&[b, idle, a]);
+        assert_eq!(
+            snapshot.keys().copied().collect::<Vec<_>>(),
+            vec![a, b, idle]
+        );
+        for (&p, bag) in &snapshot {
+            assert_eq!(bag, &w.holdings(Owner::Party(p)), "{p}");
+        }
+        assert_eq!(snapshot[&a].balance(&"coin".into()), 15);
+        assert_eq!(snapshot[&a].tokens(&"ticket".into()).len(), 2);
+        assert!(snapshot[&b].contains(&Asset::fungible("gold", 3)));
+        assert!(snapshot[&b].contains(&Asset::non_fungible("ticket", [2])));
+        assert!(snapshot[&idle].is_empty());
+        // Contract-held assets belong to no party.
+        let held = w.holdings(escrow);
+        assert_eq!(held.balance(&"coin".into()), 7);
+        assert!(held.contains(&Asset::non_fungible("ticket", [3])));
     }
 
     #[test]

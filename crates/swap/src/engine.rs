@@ -25,7 +25,6 @@ use xchain_deals::plan::DealPlan;
 use xchain_deals::setup::{self, advance_one_observation};
 use xchain_deals::spec::DealSpec;
 use xchain_deals::strategy::ObservationHub;
-use xchain_sim::asset::AssetBag;
 use xchain_sim::ids::{ChainId, ContractId, Owner, PartyId};
 use xchain_sim::time::Duration;
 use xchain_sim::world::World;
@@ -99,13 +98,6 @@ impl Default for SwapEngine {
     }
 }
 
-fn holdings_by_party(world: &World, spec: &DealSpec) -> BTreeMap<PartyId, AssetBag> {
-    spec.parties
-        .iter()
-        .map(|&p| (p, world.holdings(Owner::Party(p))))
-        .collect()
-}
-
 impl DealEngine for SwapEngine {
     fn kind(&self) -> ProtocolKind {
         ProtocolKind::Swap
@@ -146,7 +138,7 @@ impl DealEngine for SwapEngine {
             .clone();
 
         let mut metrics = PhaseMetrics::new();
-        let initial_holdings = holdings_by_party(world, spec);
+        let initial_holdings = world.holdings_by_party(&spec.parties);
         let leader_cfg = config_of(configs, swap.leader);
         let follower_cfg = config_of(configs, swap.follower);
         // Both parties monitor both chains through the deal's shared hub; the
@@ -306,7 +298,7 @@ impl DealEngine for SwapEngine {
         // --------------------------------------------------------------
         // Collect the outcome in the protocol-agnostic vocabulary.
         // --------------------------------------------------------------
-        let final_holdings = holdings_by_party(world, spec);
+        let final_holdings = world.holdings_by_party(&spec.parties);
         let mut resolutions = BTreeMap::new();
         for (&chain, &contract) in &contracts {
             let state = world

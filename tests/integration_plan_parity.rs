@@ -5,9 +5,10 @@
 //! call). The plan layer is a representation change, not a semantic one.
 
 use xchain_deals::builders::{auction_spec, broker_spec, ring_spec};
+use xchain_deals::outcome::DealOutcome;
 use xchain_deals::plan::DealPlan;
 use xchain_deals::spec::DealSpec;
-use xchain_deals::{Deal, DealRun, Protocol};
+use xchain_deals::{Deal, Protocol};
 use xchain_harness::adversary::single_deviator_configs;
 use xchain_harness::sweep::{standard_engines, Sweep, SweepOutcome};
 use xchain_sim::ids::DealId;
@@ -23,11 +24,11 @@ fn specs() -> Vec<(String, DealSpec)> {
     ]
 }
 
-fn fingerprint(run: &DealRun) -> String {
+fn fingerprint(outcome: &DealOutcome) -> String {
     format!(
         "gas={:?}|outcome={:?}",
-        run.outcome.metrics.total_gas(),
-        run.outcome
+        outcome.metrics.total_gas(),
+        outcome
     )
 }
 
@@ -69,7 +70,7 @@ fn sweep_with_shared_plans_matches_per_run_resolution() {
         for p in &outcome.points {
             // Re-execute the cell the pre-plan way: a fresh `Deal::run`,
             // which resolves its own plan from the string-kinded spec.
-            let deal = Deal::new(p.deal.clone())
+            let deal = Deal::new(DealSpec::clone(&p.deal))
                 .parties(&p.configs)
                 .seed(p.seed)
                 .network(match p.network.as_str() {
@@ -83,8 +84,8 @@ fn sweep_with_shared_plans_matches_per_run_resolution() {
             }
             .unwrap();
             assert_eq!(
-                fingerprint(&p.run),
-                fingerprint(&rerun),
+                fingerprint(&p.run.outcome),
+                fingerprint(&rerun.outcome),
                 "threads={threads}: {} / {} / {} / {} diverged",
                 p.spec,
                 p.engine,
@@ -108,7 +109,11 @@ fn shared_plan_and_caller_world_agree_with_fresh_plans() {
             let deal = session.clone().seed(seed);
             let fresh = deal.run(engine.clone()).unwrap();
             let shared = deal.run_planned(&plan, engine.clone()).unwrap();
-            assert_eq!(fingerprint(&fresh), fingerprint(&shared), "seed {seed}");
+            assert_eq!(
+                fingerprint(&fresh.outcome),
+                fingerprint(&shared.outcome),
+                "seed {seed}"
+            );
             // Caller-owned world: the plan is resolved against the world's
             // own kind table instead of a fork.
             let mut world = deal.build_world().unwrap();
@@ -148,7 +153,7 @@ fn one_plan_many_threads_is_deterministic() {
     assert_eq!(serial.points.len(), parallel.points.len());
     for (a, b) in serial.points.iter().zip(&parallel.points) {
         assert_eq!(a.seed, b.seed);
-        assert_eq!(fingerprint(&a.run), fingerprint(&b.run));
+        assert_eq!(fingerprint(&a.run.outcome), fingerprint(&b.run.outcome));
     }
 }
 
