@@ -14,6 +14,7 @@
 use xchain_sim::crypto::{KeyDirectory, KeyPair, PublicKey, Signature};
 use xchain_sim::ids::{PartyId, ValidatorId};
 use xchain_sim::ledger::Blockchain;
+use xchain_sim::world::World;
 
 /// Offset used to register validator keys in party key directories without
 /// colliding with real party ids. Validators are not deal parties, but the
@@ -148,9 +149,16 @@ impl ValidatorSet {
         }
     }
 
-    /// Registers every validator's verification material on a blockchain, so
-    /// escrow contracts there can verify CBC certificates through the normal
-    /// gas-metered path.
+    /// Registers every validator's verification material on every chain of
+    /// a world, so escrow contracts there can verify CBC certificates
+    /// through the normal gas-metered path. The world's shared directory is
+    /// updated once, not once per chain (see [`World::register_keys`]).
+    pub fn register_in_world(&self, world: &mut World) {
+        world.register_keys(self.members.len(), |dir| self.register_in(dir));
+    }
+
+    /// Registers every validator's verification material on one blockchain
+    /// only (a chain outside any world, or a chain-private registration).
     pub fn register_on_chain(&self, chain: &mut Blockchain) {
         for (vid, kp) in &self.members {
             chain.register_key(validator_party_id(*vid), kp);

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use xchain_sim::asset::Asset;
 use xchain_sim::contract::{CallCtx, Contract};
-use xchain_sim::crypto::{hash_words, PathSignature};
+use xchain_sim::crypto::{hash_words, PathSig};
 use xchain_sim::error::ChainResult;
 use xchain_sim::ids::{DealId, PartyId};
 use xchain_sim::intern::InternedAsset;
@@ -183,7 +183,11 @@ impl TimelockManager {
     ///
     /// When votes from all parties have been accepted, the escrowed assets are
     /// released to their C-map owners.
-    pub fn commit(&mut self, ctx: &mut CallCtx<'_>, vote: &PathSignature) -> ChainResult<()> {
+    ///
+    /// The vote is a borrowed [`PathSig`]: deal engines pass views into their
+    /// own path storage, and an owned [`xchain_sim::crypto::PathSignature`]
+    /// passes `path.view()`.
+    pub fn commit(&mut self, ctx: &mut CallCtx<'_>, vote: PathSig<'_>) -> ChainResult<()> {
         ctx.require(self.core.is_active(), "deal already resolved")?;
         // Figure 5 line 6: require(now < start + path.length() * DELTA)
         let deadline = self.info.t0 + self.info.delta.times(vote.len() as u64);
@@ -214,7 +218,7 @@ impl TimelockManager {
         // the same message, so it is hashed once; each signature still pays
         // its own verification gas.
         let digest = hash_words(&self.info.vote_message(vote.voter));
-        for (signer, sig) in &vote.path {
+        for (signer, sig) in vote.path {
             let Some(pk) = ctx.keys().public_key_of(*signer) else {
                 return ctx.require(false, "unknown signer key").map(|_| ());
             };
@@ -269,7 +273,7 @@ impl Contract for TimelockManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xchain_sim::crypto::KeyPair;
+    use xchain_sim::crypto::{KeyPair, PathSignature};
     use xchain_sim::error::ChainError;
     use xchain_sim::ids::{ChainId, ContractId, Owner};
     use xchain_sim::ledger::Blockchain;
@@ -367,7 +371,7 @@ mod tests {
                     Time(T0 + 10 + i as u64),
                     Owner::Party(fx.info.plist[i]),
                     fx.contract,
-                    |m: &mut TimelockManager, ctx| m.commit(ctx, &vote),
+                    |m: &mut TimelockManager, ctx| m.commit(ctx, vote.view()),
                 )
                 .unwrap();
         }
@@ -394,7 +398,7 @@ mod tests {
                 Time(T0 + DELTA), // exactly at the deadline: too late (strict <)
                 Owner::Party(fx.info.plist[0]),
                 fx.contract,
-                |m: &mut TimelockManager, ctx| m.commit(ctx, &vote),
+                |m: &mut TimelockManager, ctx| m.commit(ctx, vote.view()),
             )
             .unwrap_err();
         assert!(matches!(err, ChainError::Require(_)));
@@ -415,7 +419,7 @@ mod tests {
                 Time(T0 + DELTA + 10),
                 Owner::Party(carol),
                 fx.contract,
-                |m: &mut TimelockManager, ctx| m.commit(ctx, &vote),
+                |m: &mut TimelockManager, ctx| m.commit(ctx, vote.view()),
             )
             .unwrap();
         // But a three-hop forward after 3∆ is too late.
@@ -430,7 +434,7 @@ mod tests {
                 Time(T0 + 3 * DELTA),
                 Owner::Party(carol),
                 fx.contract,
-                |m: &mut TimelockManager, ctx| m.commit(ctx, &vote3),
+                |m: &mut TimelockManager, ctx| m.commit(ctx, vote3.view()),
             )
             .unwrap_err();
         assert!(matches!(err, ChainError::Require(_)));
@@ -455,7 +459,7 @@ mod tests {
                 Time(T0 + 10),
                 Owner::Party(alice),
                 fx.contract,
-                |m: &mut TimelockManager, ctx| m.commit(ctx, &forged),
+                |m: &mut TimelockManager, ctx| m.commit(ctx, forged.view()),
             )
             .unwrap_err();
         assert!(matches!(err, ChainError::Require(_)));
@@ -471,7 +475,7 @@ mod tests {
                 Time(T0 + 10),
                 Owner::Party(bob),
                 fx.contract,
-                |m: &mut TimelockManager, ctx| m.commit(ctx, &wrong_msg),
+                |m: &mut TimelockManager, ctx| m.commit(ctx, wrong_msg.view()),
             )
             .unwrap_err();
         assert!(matches!(err, ChainError::Require(_)));
@@ -486,7 +490,7 @@ mod tests {
                 Time(T0 + 10),
                 Owner::Party(bob),
                 fx.contract,
-                |m: &mut TimelockManager, ctx| m.commit(ctx, &v),
+                |m: &mut TimelockManager, ctx| m.commit(ctx, v.view()),
             )
             .unwrap_err();
         assert!(matches!(err, ChainError::Require(_)));
@@ -502,7 +506,7 @@ mod tests {
                 Time(T0 + 5),
                 Owner::Party(fx.info.plist[0]),
                 fx.contract,
-                |m: &mut TimelockManager, ctx| m.commit(ctx, &vote),
+                |m: &mut TimelockManager, ctx| m.commit(ctx, vote.view()),
             )
             .unwrap();
         let err = fx
@@ -511,7 +515,7 @@ mod tests {
                 Time(T0 + 6),
                 Owner::Party(fx.info.plist[0]),
                 fx.contract,
-                |m: &mut TimelockManager, ctx| m.commit(ctx, &vote),
+                |m: &mut TimelockManager, ctx| m.commit(ctx, vote.view()),
             )
             .unwrap_err();
         assert!(matches!(err, ChainError::Require(_)));
@@ -529,7 +533,7 @@ mod tests {
                 Time(T0 + 5),
                 Owner::Party(fx.info.plist[0]),
                 fx.contract,
-                |m: &mut TimelockManager, ctx| m.commit(ctx, &vote),
+                |m: &mut TimelockManager, ctx| m.commit(ctx, vote.view()),
             )
             .unwrap();
         // Too early to refund.
@@ -602,7 +606,7 @@ mod tests {
                 Time(T0 + 1),
                 Owner::Party(plist[ix]),
                 contract,
-                |m: &mut TimelockManager, ctx| m.commit(ctx, &vote(ix)),
+                |m: &mut TimelockManager, ctx| m.commit(ctx, vote(ix).view()),
             )
         };
         // Party 0 sits at plist position 1.
@@ -641,7 +645,7 @@ mod tests {
                 Time(T0 + 50),
                 Owner::Party(carol),
                 fx.contract,
-                |m: &mut TimelockManager, ctx| m.commit(ctx, &vote),
+                |m: &mut TimelockManager, ctx| m.commit(ctx, vote.view()),
             )
             .unwrap();
         let delta = before.delta_to(&fx.chain.gas_usage());

@@ -83,8 +83,8 @@ pub(crate) fn drive(
     opts: &CbcOptions,
 ) -> Result<CbcRun, DealError> {
     let spec = plan.spec();
-    setup::check_parties_exist(world, spec)?;
-    setup::check_chains_exist(world, spec)?;
+    setup::check_parties_exist(world, plan)?;
+    setup::check_chains_exist(world, plan)?;
     setup::apply_offline_windows(world, configs);
 
     let mut metrics = PhaseMetrics::new();
@@ -105,12 +105,9 @@ pub(crate) fn drive(
     for p in &opts.censored_parties {
         cbc.censor(*p);
     }
-    // Register validator keys on every involved chain so escrow contracts can
+    // Register validator keys on the world's chains so escrow contracts can
     // verify certificates.
-    for &chain in plan.chains() {
-        let chain_ref = world.chain_mut(chain).map_err(DealError::Chain)?;
-        cbc.validators().register_on_chain(chain_ref);
-    }
+    cbc.validators().register_in_world(world);
     // One party (the first that is not censored) records the start of the deal.
     let starter = spec
         .parties

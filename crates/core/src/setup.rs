@@ -32,12 +32,15 @@ pub fn world_for_spec(
 /// party id. Kept in one place so plan-based and spec-based worlds can never
 /// drift apart.
 fn add_chains_and_parties(world: &mut World, chains: &[ChainId], parties: &[PartyId]) {
+    // Parties first: their keys then go into a directory no chain shares
+    // yet, which is written in place instead of copied.
+    let max_party = parties.iter().map(|p| p.0).max().unwrap_or(0);
+    world.add_parties(max_party as usize + 1);
     let max_chain = chains.iter().map(|c| c.0).max().unwrap_or(0);
+    world.reserve_chains(max_chain as usize + 1);
     for i in 0..=max_chain {
         world.add_chain(&format!("chain-{i}"), Duration(1));
     }
-    let max_party = parties.iter().map(|p| p.0).max().unwrap_or(0);
-    world.add_parties(max_party as usize + 1);
 }
 
 /// [`world_for_spec`] for a pre-resolved [`DealPlan`]: the world's kind table
@@ -81,30 +84,25 @@ pub fn mint_escrow_assets(world: &mut World, spec: &DealSpec) -> Result<(), Deal
     Ok(())
 }
 
-/// The parties of the spec that actually exist in the world, in plist order —
-/// a sanity check used by the engines.
-pub fn check_parties_exist(world: &World, spec: &DealSpec) -> Result<(), DealError> {
-    let existing = world.party_ids();
-    for p in &spec.parties {
-        if !existing.contains(p) {
-            return Err(DealError::Config(format!(
-                "{p} does not exist in the world"
-            )));
-        }
+/// Fails unless every party of the plan exists in the world — a sanity
+/// check used by the engines.
+pub fn check_parties_exist(world: &World, plan: &DealPlan) -> Result<(), DealError> {
+    match plan.plist().iter().find(|&&p| !world.has_party(p)) {
+        Some(p) => Err(DealError::Config(format!(
+            "{p} does not exist in the world"
+        ))),
+        None => Ok(()),
     }
-    Ok(())
 }
 
-/// The chains of the spec that actually exist in the world.
-pub fn check_chains_exist(world: &World, spec: &DealSpec) -> Result<(), DealError> {
-    for c in spec.chains() {
-        if world.chain(c).is_err() {
-            return Err(DealError::Config(format!(
-                "{c} does not exist in the world"
-            )));
-        }
+/// Fails unless every chain of the plan exists in the world.
+pub fn check_chains_exist(world: &World, plan: &DealPlan) -> Result<(), DealError> {
+    match plan.chains().iter().find(|&&c| world.chain(c).is_err()) {
+        Some(c) => Err(DealError::Config(format!(
+            "{c} does not exist in the world"
+        ))),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// Applies the offline windows declared in party configurations to the world.
@@ -197,8 +195,9 @@ mod tests {
     fn world_setup_creates_chains_parties_and_assets() {
         let spec = tiny_spec();
         let world = world_for_spec(&spec, NetworkModel::synchronous(10), 3).unwrap();
-        check_parties_exist(&world, &spec).unwrap();
-        check_chains_exist(&world, &spec).unwrap();
+        let plan = DealPlan::new(&spec).unwrap();
+        check_parties_exist(&world, &plan).unwrap();
+        check_chains_exist(&world, &plan).unwrap();
         assert!(world
             .chain(ChainId(0))
             .unwrap()
@@ -238,7 +237,9 @@ mod tests {
             chains_touched_by(&spec, PartyId(0)),
             vec![ChainId(0), ChainId(1)]
         );
-        let missing = check_parties_exist(&World::new(0), &spec);
+        let plan = DealPlan::new(&spec).unwrap();
+        let missing = check_parties_exist(&World::new(0), &plan);
         assert!(missing.is_err());
+        assert!(check_chains_exist(&World::new(0), &plan).is_err());
     }
 }

@@ -343,6 +343,9 @@ struct ChainFeed {
     chain: ChainId,
     cursor: LogCursor,
     events: Vec<ObservedEvent>,
+    /// How many events the deal can log on this chain, from the plan: the
+    /// buffer's one allocation, made when its first entries arrive.
+    room: usize,
 }
 
 /// The deal vocabulary: every tag the views ingest (everything but
@@ -363,9 +366,18 @@ fn deal_filter() -> LogFilter {
 impl ObservationHub {
     /// A hub subscribed to the plan's chains on behalf of the plan's parties,
     /// filtering to the deal vocabulary. The plan also bounds how large each
-    /// party's view can grow, so views grow at most once.
+    /// party's view can grow, so views grow at most once, and how many
+    /// events each chain logs: its escrows, its tentative transfers and one
+    /// resolution (plus the votes [`ObservationHub::expect_votes_per_chain`]
+    /// announces), so each chain's event buffer is allocated once.
     pub fn new(plan: &DealPlan) -> Self {
         let mut hub = Self::subscribe(plan.chains(), plan.plist().clone());
+        let chains = plan.escrows().iter().map(|e| e.chain);
+        for chain in chains.chain(plan.transfers().iter().map(|t| t.chain)) {
+            if let Some(ix) = plan.chain_index(chain) {
+                hub.feeds[ix].room += 1;
+            }
+        }
         hub.caps = ViewCaps {
             escrows: plan.escrows().len(),
             transfers: plan.transfers().len(),
@@ -373,6 +385,16 @@ impl ObservationHub {
             resolutions: plan.chains().len(),
         };
         hub
+    }
+
+    /// Sizes each chain's event buffer for `votes` more events: the commit
+    /// votes a protocol logs on every asset chain (one per party under the
+    /// timelock protocol, none under CBC).
+    pub fn expect_votes_per_chain(mut self, votes: usize) -> Self {
+        for feed in &mut self.feeds {
+            feed.room += votes;
+        }
+        self
     }
 
     /// A hub for an explicit chain and party set (tests, custom monitors).
@@ -389,6 +411,7 @@ impl ObservationHub {
                     chain,
                     cursor: LogCursor::new(),
                     events: Vec::new(),
+                    room: 1,
                 })
                 .collect(),
             views: vec![DealView::default(); parties.len()],
@@ -404,14 +427,22 @@ impl ObservationHub {
     }
 
     /// Ingests one chain's new log entries into its event buffer — the single
-    /// place the shared cursors advance and entries are parsed.
+    /// place the shared cursors advance and entries are parsed. A chain whose
+    /// log has not grown since the last ingest costs one length check.
     fn ingest_chain(feed: &mut ChainFeed, filter: LogFilter, world: &World) {
-        if let Ok(c) = world.chain(feed.chain) {
-            feed.events.extend(
-                c.log_from_filtered(&mut feed.cursor, filter)
-                    .filter_map(ObservedEvent::parse),
-            );
+        let Ok(c) = world.chain(feed.chain) else {
+            return;
+        };
+        if c.log().len() == feed.cursor.position() {
+            return;
         }
+        if feed.events.capacity() == 0 {
+            feed.events.reserve_exact(feed.room);
+        }
+        feed.events.extend(
+            c.log_from_filtered(&mut feed.cursor, filter)
+                .filter_map(ObservedEvent::parse),
+        );
     }
 
     /// Folds one chain's buffered events from `pos` onward into a view — the

@@ -15,7 +15,7 @@
 use std::collections::BTreeMap;
 
 use xchain_contracts::timelock::{TimelockDealInfo, TimelockManager};
-use xchain_sim::crypto::PathSignature;
+use xchain_sim::crypto::{KeyPair, PathSig, Signature};
 use xchain_sim::gas::GasUsage;
 use xchain_sim::ids::{ChainId, ContractId, Owner, PartyId};
 use xchain_sim::time::{Duration, Time};
@@ -55,50 +55,189 @@ impl Default for TimelockOptions {
     }
 }
 
-/// A commit vote visible on some chain, tracked engine-side so other parties
-/// can observe and forward it. The path signature itself is stored once in
-/// the engine's path arena; every chain that accepted it refers to it by
-/// index.
+/// A commit vote accepted by some chain's contract, tracked engine-side so
+/// other parties can observe and forward it. Its path signature is a span of
+/// the board's path arena, shared by every chain the same forward reached.
 #[derive(Debug, Clone, Copy)]
 struct PublishedVote {
     /// Position of the chain in `plan.chains()`.
-    chain_ix: usize,
+    chain_ix: u32,
     /// Position of the voter in `plan.parties()`.
-    voter_ix: usize,
-    /// Index into the path arena.
-    path: usize,
+    voter_ix: u32,
+    path: PathSpan,
     published_at: Time,
 }
 
-/// Which chain's contract has accepted which voter: a dense bitset over
-/// (chain position, party position). It mirrors the contracts' acceptance
-/// state exactly, so duplicate checks never re-read a contract.
-struct AcceptedVotes {
-    words: Vec<u64>,
-    n_parties: usize,
+/// Where one path signature lives in the board's path arena.
+#[derive(Debug, Clone, Copy)]
+struct PathSpan {
+    start: u32,
+    len: u32,
 }
 
-impl AcceptedVotes {
-    fn new(n_chains: usize, n_parties: usize) -> Self {
-        AcceptedVotes {
-            words: vec![0; (n_chains * n_parties).div_ceil(64)],
-            n_parties,
-        }
-    }
+/// The end of a watch list.
+const NIL: u32 = u32::MAX;
 
-    fn bit(&self, chain_ix: usize, voter_ix: usize) -> (usize, u64) {
-        let i = chain_ix * self.n_parties + voter_ix;
+/// The commit phase's bookkeeping, sized by the votes the protocol actually
+/// produces. Nothing here allocates before the first vote is signed, and
+/// each table allocates once, at a size the plan bounds.
+///
+/// - `accepted` mirrors which chain's contract accepted which voter, so
+///   duplicate checks never re-read a contract.
+/// - `sigs` is the path arena: every path signature of the deal, back to
+///   back. A direct vote is one signature; a forward copies its source path
+///   and appends the forwarder's.
+/// - `published` lists accepted votes in publication order.
+/// - Each party's watch list links, in publication order, the published
+///   votes on the chains it watches (its outgoing-asset chains), so a
+///   forwarding round visits exactly those.
+///
+/// Indices are `u32`: a table past `u32::MAX` entries would hold over
+/// 4 G signatures or votes, far more than memory allows.
+#[derive(Default)]
+struct VoteBoard {
+    accepted: Vec<u64>,
+    sigs: Vec<(PartyId, Signature)>,
+    published: Vec<PublishedVote>,
+    /// Chain → watchers, in one table: word `c` is where chain `c`'s
+    /// watchers start (word `c + 1`, where they end), and those words hold
+    /// the plan positions of the parties that watch chain `c`.
+    watchers: Vec<u32>,
+    /// Per party: the first and last entry of its watch list in `links`.
+    lists: Vec<(u32, u32)>,
+    /// Watch-list entries: a published vote's index and the list's next
+    /// entry.
+    links: Vec<(u32, u32)>,
+}
+
+impl VoteBoard {
+    fn accepted_bit(plan: &DealPlan, chain_ix: usize, voter_ix: usize) -> (usize, u64) {
+        let i = chain_ix * plan.parties().len() + voter_ix;
         (i / 64, 1 << (i % 64))
     }
 
-    fn contains(&self, chain_ix: usize, voter_ix: usize) -> bool {
-        let (word, mask) = self.bit(chain_ix, voter_ix);
-        self.words[word] & mask != 0
+    /// True if chain `chain_ix`'s contract has accepted a vote from the
+    /// party at `voter_ix`.
+    fn is_accepted(&self, plan: &DealPlan, chain_ix: usize, voter_ix: usize) -> bool {
+        let (word, mask) = Self::accepted_bit(plan, chain_ix, voter_ix);
+        self.accepted.get(word).is_some_and(|w| w & mask != 0)
     }
 
-    fn insert(&mut self, chain_ix: usize, voter_ix: usize) {
-        let (word, mask) = self.bit(chain_ix, voter_ix);
-        self.words[word] |= mask;
+    /// The party's direct vote: its own signature, the start of a path.
+    fn sign_direct(
+        &mut self,
+        plan: &DealPlan,
+        voter: PartyId,
+        key: &KeyPair,
+        message: &[u64],
+    ) -> PathSpan {
+        self.reserve_sigs(plan);
+        let start = self.sigs.len() as u32;
+        self.sigs.push((voter, key.sign_words(message)));
+        PathSpan { start, len: 1 }
+    }
+
+    /// `forwarder`'s forward of the path `from`: a copy of it with the
+    /// forwarder's signature appended.
+    fn sign_forward(
+        &mut self,
+        from: PathSpan,
+        forwarder: PartyId,
+        key: &KeyPair,
+        message: &[u64],
+    ) -> PathSpan {
+        let start = self.sigs.len() as u32;
+        let source = from.start as usize..(from.start + from.len) as usize;
+        self.sigs.extend_from_within(source);
+        self.sigs.push((forwarder, key.sign_words(message)));
+        PathSpan {
+            start,
+            len: from.len + 1,
+        }
+    }
+
+    /// The arena's first allocation, on the first signature: room for every
+    /// voter's vote to travel around a ring of all the deal's chains, one
+    /// signature longer per hop — exactly what a ring deal stores.
+    fn reserve_sigs(&mut self, plan: &DealPlan) {
+        if self.sigs.capacity() == 0 {
+            let n = plan.parties().len();
+            self.sigs
+                .reserve_exact(plan.chains().len() * n * (n + 1) / 2);
+        }
+    }
+
+    fn view(&self, voter: PartyId, path: PathSpan) -> PathSig<'_> {
+        PathSig {
+            voter,
+            path: &self.sigs[path.start as usize..(path.start + path.len) as usize],
+        }
+    }
+
+    /// Records that chain `chain_ix` accepted the vote of the party at
+    /// `voter_ix` with `path`, and appends it to the watch list of every
+    /// party that watches the chain.
+    fn publish(
+        &mut self,
+        plan: &DealPlan,
+        chain_ix: usize,
+        voter_ix: usize,
+        path: PathSpan,
+        at: Time,
+    ) {
+        if self.published.capacity() == 0 {
+            self.allocate_tables(plan);
+        }
+        let (word, mask) = Self::accepted_bit(plan, chain_ix, voter_ix);
+        self.accepted[word] |= mask;
+        let vote_ix = self.published.len() as u32;
+        self.published.push(PublishedVote {
+            chain_ix: chain_ix as u32,
+            voter_ix: voter_ix as u32,
+            path,
+            published_at: at,
+        });
+        for k in self.watchers[chain_ix]..self.watchers[chain_ix + 1] {
+            let watcher = self.watchers[k as usize] as usize;
+            let entry = self.links.len() as u32;
+            self.links.push((vote_ix, NIL));
+            let list = &mut self.lists[watcher];
+            if list.1 == NIL {
+                list.0 = entry;
+            } else {
+                self.links[list.1 as usize].1 = entry;
+            }
+            list.1 = entry;
+        }
+    }
+
+    /// Allocates the vote tables on the first publication, each at the size
+    /// the plan bounds: a chain accepts each voter at most once, so at most
+    /// `chains × parties` votes are published, and a vote on chain `c` is
+    /// linked into the list of each of `c`'s watchers.
+    fn allocate_tables(&mut self, plan: &DealPlan) {
+        let (chains, parties) = (plan.chains(), plan.parties());
+        let n_watched: usize = parties.iter().map(|pp| pp.outgoing_chains.len()).sum();
+        self.accepted = vec![0; (chains.len() * parties.len()).div_ceil(64)];
+        self.published.reserve_exact(chains.len() * parties.len());
+        self.links.reserve_exact(parties.len() * n_watched);
+        self.lists = vec![(NIL, NIL); parties.len()];
+        self.watchers.reserve_exact(chains.len() + 1 + n_watched);
+        self.watchers.resize(chains.len() + 1, 0);
+        for (c, chain) in chains.iter().enumerate() {
+            self.watchers[c] = self.watchers.len() as u32;
+            for (ix, pp) in parties.iter().enumerate() {
+                if pp.outgoing_chains.binary_search(chain).is_ok() {
+                    self.watchers.push(ix as u32);
+                }
+            }
+        }
+        self.watchers[chains.len()] = self.watchers.len() as u32;
+    }
+
+    /// The first entry of the watch list of the party at `ix`.
+    fn first_watched(&self, ix: usize) -> u32 {
+        self.lists.get(ix).map_or(NIL, |list| list.0)
     }
 }
 
@@ -125,8 +264,8 @@ pub(crate) fn drive(
     opts: &TimelockOptions,
 ) -> Result<TimelockRun, DealError> {
     let spec = plan.spec();
-    setup::check_parties_exist(world, spec)?;
-    setup::check_chains_exist(world, spec)?;
+    setup::check_parties_exist(world, plan)?;
+    setup::check_chains_exist(world, plan)?;
     setup::apply_offline_windows(world, configs);
 
     let mut metrics = PhaseMetrics::new();
@@ -140,7 +279,7 @@ pub(crate) fn drive(
     // One shared hub for the whole deal: a single filtered log ingest pass
     // per chain, fanned out to every party's private view (identical to the
     // per-party DealObserver views, at a fraction of the cost).
-    let mut hub = ObservationHub::new(plan);
+    let mut hub = ObservationHub::new(plan).expect_votes_per_chain(plan.parties().len());
 
     // ------------------------------------------------------------------
     // Clearing phase: broadcast (D, plist, t0, ∆) and install the escrow
@@ -265,11 +404,7 @@ pub(crate) fn drive(
     world.advance_to(t0);
     let commit_started = world.now();
     let gas_before = world.total_gas();
-    // Every path signature the engine builds is stored once, here;
-    // `published` refers to it by index from each chain that accepted it.
-    let mut paths: Vec<PathSignature> = Vec::new();
-    let mut published: Vec<PublishedVote> = Vec::new();
-    let mut accepted = AcceptedVotes::new(plan.chains().len(), plan.parties().len());
+    let mut board = VoteBoard::default();
 
     // Direct votes: each willing party votes on its incoming-asset chains
     // (or on every chain when broadcasting altruistically).
@@ -290,11 +425,10 @@ pub(crate) fn drive(
         };
         let message = info.vote_message(p);
         let key = world.key_pair(p).map_err(DealError::Chain)?.clone();
-        let path = paths.len();
-        paths.push(PathSignature::direct(p, &key, &message));
-        let vote = &paths[path];
+        let path = board.sign_direct(plan, p, &key, &message);
         for &chain in target_chains {
             let chain_ix = index_of_chain(chain);
+            let vote = board.view(p, path);
             let result = world.call(
                 chain,
                 Owner::Party(p),
@@ -302,13 +436,7 @@ pub(crate) fn drive(
                 |m: &mut TimelockManager, ctx| m.commit(ctx, vote),
             );
             if result.is_ok() {
-                accepted.insert(chain_ix, voter_ix);
-                published.push(PublishedVote {
-                    chain_ix,
-                    voter_ix,
-                    path,
-                    published_at: world.now(),
-                });
+                board.publish(plan, chain_ix, voter_ix, path, world.now());
             }
         }
     }
@@ -324,11 +452,11 @@ pub(crate) fn drive(
         }
         advance_one_observation(world);
         // Votes observable this round are exactly those published in earlier
-        // rounds: everything pushed below carries `published_at == now` and
-        // fails the `< round_now` filter, so a prefix index replaces a
-        // snapshot of `published`.
-        let visible = published.len();
-        for (pp, cfg) in plan.parties().iter().zip(&cfgs) {
+        // rounds: everything published below carries `published_at == now`
+        // and fails the `< round_now` filter, so a prefix of the publication
+        // order replaces a snapshot of it.
+        let visible = board.published.len() as u32;
+        for (forwarder_ix, (pp, cfg)) in plan.parties().iter().zip(&cfgs).enumerate() {
             let p = pp.id;
             let verdict = validated.get(&p).copied().unwrap_or(false);
             let forwards = {
@@ -340,43 +468,45 @@ pub(crate) fn drive(
             }
             let key = world.key_pair(p).map_err(DealError::Chain)?.clone();
             let round_now = world.now();
-            for i in 0..visible {
-                let seen = published[i];
-                if seen.published_at >= round_now
-                    || !pp.outgoing_chains.contains(&plan.chains()[seen.chain_ix])
-                {
+            // The party's watch list holds the votes published on its
+            // outgoing-asset chains, in publication order; entries appended
+            // while it forwards lie past `visible`.
+            let mut entry = board.first_watched(forwarder_ix);
+            while entry != NIL {
+                let (vote_ix, next) = board.links[entry as usize];
+                if vote_ix >= visible {
+                    break;
+                }
+                entry = next;
+                let seen = board.published[vote_ix as usize];
+                if seen.published_at >= round_now {
                     continue;
                 }
+                let (seen_chain, seen_voter) = (seen.chain_ix as usize, seen.voter_ix as usize);
+                let voter = plan.parties()[seen_voter].id;
                 // The forwarded signature does not depend on the target
                 // chain, so it is built at most once per observed vote — and
                 // not at all when every target already accepted the voter
                 // (the common case once a vote has circulated).
-                let mut forwarded: Option<usize> = None;
+                let mut forwarded: Option<PathSpan> = None;
                 for &target in &pp.incoming_chains {
                     let target_ix = index_of_chain(target);
-                    if target_ix == seen.chain_ix || accepted.contains(target_ix, seen.voter_ix) {
+                    if target_ix == seen_chain || board.is_accepted(plan, target_ix, seen_voter) {
                         continue;
                     }
                     let path = *forwarded.get_or_insert_with(|| {
-                        let message = info.vote_message(plan.parties()[seen.voter_ix].id);
-                        paths.push(paths[seen.path].forwarded_by(p, &key, &message));
-                        paths.len() - 1
+                        let message = info.vote_message(voter);
+                        board.sign_forward(seen.path, p, &key, &message)
                     });
-                    let fwd = &paths[path];
+                    let vote = board.view(voter, path);
                     let result = world.call(
                         target,
                         Owner::Party(p),
                         contract_ids[target_ix],
-                        |m: &mut TimelockManager, ctx| m.commit(ctx, fwd),
+                        |m: &mut TimelockManager, ctx| m.commit(ctx, vote),
                     );
                     if result.is_ok() {
-                        accepted.insert(target_ix, seen.voter_ix);
-                        published.push(PublishedVote {
-                            chain_ix: target_ix,
-                            voter_ix: seen.voter_ix,
-                            path,
-                            published_at: world.now(),
-                        });
+                        board.publish(plan, target_ix, seen_voter, path, world.now());
                     }
                 }
             }

@@ -210,9 +210,10 @@ impl Signature {
 }
 
 /// A directory mapping parties to their public keys, plus the verification
-/// oracle. Every blockchain in the world holds a copy ("any party's public key
-/// is known to all"). The directory stores enough material to *verify*
-/// signatures but is never used by simulation code to *create* them.
+/// oracle. Every blockchain can read it ("any party's public key is known to
+/// all"); the chains of one world share a single copy. The directory stores
+/// enough material to *verify* signatures but is never used by simulation
+/// code to *create* them.
 #[derive(Debug, Clone, Default)]
 pub struct KeyDirectory {
     entries: Vec<(PublicKey, u64)>,
@@ -233,6 +234,24 @@ impl KeyDirectory {
         if !self.parties.iter().any(|(p, _)| *p == party) {
             self.parties.push((party, kp.public));
         }
+    }
+
+    /// Makes room for `additional` more registrations, so registering a
+    /// known number of keys grows each table at most once.
+    pub fn reserve(&mut self, additional: usize) {
+        self.entries.reserve(additional);
+        self.parties.reserve(additional);
+    }
+
+    /// A copy of the directory with room for `additional` more
+    /// registrations: one allocation per table, where a clone followed by
+    /// [`KeyDirectory::reserve`] would allocate twice.
+    pub fn copy_with_room(&self, additional: usize) -> KeyDirectory {
+        let mut entries = Vec::with_capacity(self.entries.len() + additional);
+        entries.extend_from_slice(&self.entries);
+        let mut parties = Vec::with_capacity(self.parties.len() + additional);
+        parties.extend_from_slice(&self.parties);
+        KeyDirectory { entries, parties }
     }
 
     /// Looks up the public key registered for a party.
@@ -284,6 +303,11 @@ impl KeyDirectory {
 /// a chain of parties, each of which signed the (deal, voter) message in turn.
 /// A contract accepts the vote only if it arrives within `|p| · ∆` of the
 /// commit-phase start, where `|p|` is the number of distinct signatures.
+///
+/// This is the owned form, for tests, benches and one-off votes; contracts
+/// take the borrowed [`PathSig`] view ([`PathSignature::view`]), which a
+/// deal engine can also cut out of one flat arena holding every path of the
+/// deal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PathSignature {
     /// The party whose commit vote is being conveyed.
@@ -315,6 +339,14 @@ impl PathSignature {
         }
     }
 
+    /// The borrowed view contracts verify.
+    pub fn view(&self) -> PathSig<'_> {
+        PathSig {
+            voter: self.voter,
+            path: &self.path,
+        }
+    }
+
     /// The path length `|p|`: the number of signatures on the vote.
     pub fn len(&self) -> usize {
         self.path.len()
@@ -328,6 +360,39 @@ impl PathSignature {
 
     /// The parties that signed, in signing order.
     pub fn signers(&self) -> impl ExactSizeIterator<Item = PartyId> + '_ {
+        self.view().signers()
+    }
+
+    /// True if all signing parties are distinct (see [`PathSig::signers_unique`]).
+    pub fn signers_unique(&self) -> bool {
+        self.view().signers_unique()
+    }
+}
+
+/// A borrowed path signature: the voter and the signatures on its vote, in
+/// signing order. `Copy`, so an engine hands the same view to every chain it
+/// submits the vote to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PathSig<'a> {
+    /// The party whose commit vote is being conveyed.
+    pub voter: PartyId,
+    /// The forwarding path, the voter's own signature first.
+    pub path: &'a [(PartyId, Signature)],
+}
+
+impl<'a> PathSig<'a> {
+    /// The path length `|p|`: the number of signatures on the vote.
+    pub fn len(&self) -> usize {
+        self.path.len()
+    }
+
+    /// True if the path carries no signatures.
+    pub fn is_empty(&self) -> bool {
+        self.path.is_empty()
+    }
+
+    /// The parties that signed, in signing order.
+    pub fn signers(&self) -> impl ExactSizeIterator<Item = PartyId> + 'a {
         self.path.iter().map(|(p, _)| *p)
     }
 

@@ -11,6 +11,7 @@ use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::asset::{Asset, AssetBag, AssetKind};
 use crate::contract::{CallCtx, Contract};
@@ -520,7 +521,13 @@ pub struct Blockchain {
     contracts: BTreeMap<ContractId, Option<Box<dyn Contract>>>,
     next_contract: u64,
     gas: GasMeter,
-    keys: KeyDirectory,
+    /// The public-key directory. The chains of one world share the world's
+    /// directory; [`Blockchain::register_key`] gives a chain a private copy.
+    keys: Arc<KeyDirectory>,
+    /// True once the chain holds a private copy of its directory, so that
+    /// world-level registrations are applied to that copy instead of
+    /// replacing it (see [`Blockchain::follow_world_keys`]).
+    private_keys: bool,
     log: Vec<LogEntry>,
     log_seq: u64,
 }
@@ -540,6 +547,24 @@ impl Blockchain {
         block_interval: Duration,
         kinds: KindTable,
     ) -> Self {
+        Self::with_kinds_and_keys(
+            id,
+            name,
+            block_interval,
+            kinds,
+            Arc::new(KeyDirectory::new()),
+        )
+    }
+
+    /// Creates a chain that shares the given kind table and key directory
+    /// (the world's; see [`crate::world::World::add_chain`]).
+    pub(crate) fn with_kinds_and_keys(
+        id: ChainId,
+        name: impl Into<String>,
+        block_interval: Duration,
+        kinds: KindTable,
+        keys: Arc<KeyDirectory>,
+    ) -> Self {
         Blockchain {
             id,
             name: name.into(),
@@ -552,7 +577,8 @@ impl Blockchain {
             contracts: BTreeMap::new(),
             next_contract: 1,
             gas: GasMeter::unlimited(),
-            keys: KeyDirectory::new(),
+            keys,
+            private_keys: false,
             log: Vec::new(),
             log_seq: 0,
         }
@@ -580,14 +606,34 @@ impl Blockchain {
     }
 
     /// Registers a party's key so contracts on this chain can verify its
-    /// signatures.
+    /// signatures. The registration is this chain's alone: a directory
+    /// shared with other chains is copied before the write, so they never
+    /// see it. World-wide registrations go through
+    /// [`crate::world::World::register_keys`] instead.
     pub fn register_key(&mut self, party: PartyId, kp: &KeyPair) {
-        self.keys.register(party, kp);
+        Arc::make_mut(&mut self.keys).register(party, kp);
+        self.private_keys = true;
     }
 
-    /// The chain's public-key directory.
+    /// The chain's public-key directory. Chains that share one directory
+    /// return the same reference.
     pub fn keys(&self) -> &KeyDirectory {
         &self.keys
+    }
+
+    /// Brings the chain up to date with a world-level key registration: a
+    /// chain that shares the world's directory shares its new version
+    /// `world_keys`; a chain with a private copy applies `register` to it.
+    pub(crate) fn follow_world_keys(
+        &mut self,
+        world_keys: &Arc<KeyDirectory>,
+        register: &impl Fn(&mut KeyDirectory),
+    ) {
+        if self.private_keys {
+            register(Arc::make_mut(&mut self.keys));
+        } else {
+            self.keys = Arc::clone(world_keys);
+        }
     }
 
     /// Installs a contract and returns its id. The contract receives the

@@ -43,8 +43,8 @@ pub mod world;
 pub use asset::{Asset, AssetBag, AssetKind};
 pub use contract::{CallCtx, Contract};
 pub use crypto::{
-    hash_bytes, hash_words, FnvHasher, Hash, KeyDirectory, KeyPair, PathSignature, PublicKey,
-    Signature,
+    hash_bytes, hash_words, FnvHasher, Hash, KeyDirectory, KeyPair, PathSig, PathSignature,
+    PublicKey, Signature,
 };
 pub use error::{ChainError, ChainResult};
 pub use gas::{GasMeter, GasUsage, GAS_SIG_VERIFY, GAS_STORAGE_WRITE};

@@ -7,13 +7,14 @@
 //! chains, keys, time, observation delays, offline windows and gas totals.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::asset::{Asset, AssetBag};
 use crate::contract::{CallCtx, Contract};
-use crate::crypto::KeyPair;
+use crate::crypto::{KeyDirectory, KeyPair};
 use crate::error::{ChainError, ChainResult};
 use crate::gas::GasUsage;
 use crate::ids::{ChainId, ContractId, Owner, PartyId};
@@ -25,8 +26,11 @@ use crate::time::{Duration, Time};
 /// The multi-chain simulation world.
 pub struct World {
     clock: Time,
-    chains: BTreeMap<ChainId, Blockchain>,
-    next_chain: u32,
+    /// Chains indexed by [`ChainId`]: ids are dense from 0.
+    chains: Vec<Blockchain>,
+    /// The public-key directory every chain shares (until a chain registers
+    /// a key of its own; see [`Blockchain::register_key`]).
+    keys: Arc<KeyDirectory>,
     parties: BTreeMap<PartyId, KeyPair>,
     next_party: u32,
     network: NetworkModel,
@@ -42,8 +46,8 @@ impl World {
     pub fn new(seed: u64) -> Self {
         World {
             clock: Time::ZERO,
-            chains: BTreeMap::new(),
-            next_chain: 0,
+            chains: Vec::new(),
+            keys: Arc::new(KeyDirectory::new()),
             parties: BTreeMap::new(),
             next_party: 0,
             network: NetworkModel::default(),
@@ -117,32 +121,66 @@ impl World {
     }
 
     /// Creates a new blockchain with the given name and block interval and
-    /// returns its id. Existing parties' keys are registered on it, and it
-    /// shares the world's kind table.
+    /// returns its id (the next dense id from 0). It shares the world's kind
+    /// table and key directory, so every existing party's key verifies on it.
     pub fn add_chain(&mut self, name: &str, block_interval: Duration) -> ChainId {
-        let id = ChainId(self.next_chain);
-        self.next_chain += 1;
-        let mut chain = Blockchain::with_kinds(id, name, block_interval, self.kinds.clone());
-        for (party, kp) in &self.parties {
-            chain.register_key(*party, kp);
-        }
-        self.chains.insert(id, chain);
+        let id = ChainId(self.chains.len() as u32);
+        self.chains.push(Blockchain::with_kinds_and_keys(
+            id,
+            name,
+            block_interval,
+            self.kinds.clone(),
+            Arc::clone(&self.keys),
+        ));
         id
+    }
+
+    /// Makes room for `additional` more chains, so adding a known number of
+    /// chains allocates the chain table once and never moves a chain.
+    pub fn reserve_chains(&mut self, additional: usize) {
+        self.chains.reserve_exact(additional);
     }
 
     /// Immutable access to a chain.
     pub fn chain(&self, id: ChainId) -> ChainResult<&Blockchain> {
-        self.chains.get(&id).ok_or(ChainError::UnknownChain(id))
+        self.chains
+            .get(id.0 as usize)
+            .ok_or(ChainError::UnknownChain(id))
     }
 
     /// Mutable access to a chain.
     pub fn chain_mut(&mut self, id: ChainId) -> ChainResult<&mut Blockchain> {
-        self.chains.get_mut(&id).ok_or(ChainError::UnknownChain(id))
+        self.chains
+            .get_mut(id.0 as usize)
+            .ok_or(ChainError::UnknownChain(id))
     }
 
     /// Ids of all chains in creation order.
     pub fn chain_ids(&self) -> Vec<ChainId> {
-        self.chains.keys().copied().collect()
+        (0..self.chains.len() as u32).map(ChainId).collect()
+    }
+
+    /// Registers keys on every chain of the world at once: `register`
+    /// writes them into the shared directory (copied first only if a chain
+    /// still reads the old version), every chain that shares the directory
+    /// then reads the new version, and a chain with a private directory
+    /// gets the same registration applied to its copy. `additional` is how
+    /// many keys `register` adds, so the directory grows at most once.
+    pub fn register_keys(&mut self, additional: usize, register: impl Fn(&mut KeyDirectory)) {
+        match Arc::get_mut(&mut self.keys) {
+            Some(dir) => {
+                dir.reserve(additional);
+                register(dir);
+            }
+            None => {
+                let mut dir = self.keys.copy_with_room(additional);
+                register(&mut dir);
+                self.keys = Arc::new(dir);
+            }
+        }
+        for chain in &mut self.chains {
+            chain.follow_world_keys(&self.keys, &register);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -152,19 +190,34 @@ impl World {
     /// Creates a new party, derives its key pair, and registers the public key
     /// on every chain.
     pub fn add_party(&mut self) -> PartyId {
-        let id = PartyId(self.next_party);
-        self.next_party += 1;
-        let kp = KeyPair::derive(id, self.seed);
-        for chain in self.chains.values_mut() {
-            chain.register_key(id, &kp);
-        }
-        self.parties.insert(id, kp);
-        id
+        PartyId(self.create_parties(1).start)
     }
 
-    /// Creates `n` parties and returns their ids.
+    /// Creates `n` parties, registers their keys on every chain with one
+    /// [`World::register_keys`] update, and returns their ids.
     pub fn add_parties(&mut self, n: usize) -> Vec<PartyId> {
-        (0..n).map(|_| self.add_party()).collect()
+        self.create_parties(n).map(PartyId).collect()
+    }
+
+    /// Creates `n` parties and returns the range of their ids.
+    fn create_parties(&mut self, n: usize) -> std::ops::Range<u32> {
+        let ids = self.next_party..self.next_party + n as u32;
+        self.next_party = ids.end;
+        let seed = self.seed;
+        self.register_keys(n, |dir| {
+            for id in ids.clone().map(PartyId) {
+                dir.register(id, &KeyPair::derive(id, seed));
+            }
+        });
+        for id in ids.clone().map(PartyId) {
+            self.parties.insert(id, KeyPair::derive(id, seed));
+        }
+        ids
+    }
+
+    /// True if `party` exists in this world.
+    pub fn has_party(&self, party: PartyId) -> bool {
+        self.parties.contains_key(&party)
     }
 
     /// The key pair of a party. Protocol engines call this only on behalf of
@@ -303,7 +356,7 @@ impl World {
         mut bags: BTreeMap<K, AssetBag>,
     ) -> BTreeMap<K, AssetBag> {
         self.kinds.with_interner(|names| {
-            for chain in self.chains.values() {
+            for chain in &self.chains {
                 chain.assets().collect_holdings(&mut bags, names);
             }
         });
@@ -313,7 +366,7 @@ impl World {
     /// Total gas used across all chains.
     pub fn total_gas(&self) -> GasUsage {
         self.chains
-            .values()
+            .iter()
             .fold(GasUsage::ZERO, |acc, c| acc + c.gas_usage())
     }
 
@@ -322,7 +375,7 @@ impl World {
     pub fn gas_by_chain(&self) -> BTreeMap<ChainId, GasUsage> {
         self.chains
             .iter()
-            .map(|(id, c)| (*id, c.gas_usage()))
+            .map(|c| (c.id(), c.gas_usage()))
             .collect()
     }
 }
@@ -358,6 +411,86 @@ mod tests {
         w.advance_by(Duration(50));
         w.advance_to(Time(30)); // no going back
         assert_eq!(w.now(), Time(50));
+    }
+
+    #[test]
+    fn every_chain_knows_every_key_whichever_is_added_first() {
+        let chains_first = {
+            let mut w = World::new(4);
+            let chains = [w.add_chain("a", Duration(1)), w.add_chain("b", Duration(1))];
+            let parties = w.add_parties(3);
+            (w, chains, parties)
+        };
+        let parties_first = {
+            let mut w = World::new(4);
+            let parties = w.add_parties(3);
+            let chains = [w.add_chain("a", Duration(1)), w.add_chain("b", Duration(1))];
+            (w, chains, parties)
+        };
+        for (w, chains, parties) in [chains_first, parties_first] {
+            let [a, b] = chains.map(|c| w.chain(c).unwrap());
+            // One directory for the whole world.
+            assert!(std::ptr::eq(a.keys(), b.keys()));
+            for &p in &parties {
+                let pk = w.key_pair(p).unwrap().public();
+                for chain in [a, b] {
+                    assert_eq!(chain.keys().public_key_of(p), Some(pk));
+                    let sig = w.key_pair(p).unwrap().sign_words(&[7, 8]);
+                    assert!(chain.keys().verify_words(&sig, &[7, 8]));
+                }
+            }
+            assert_eq!(a.keys().len(), parties.len());
+        }
+    }
+
+    #[test]
+    fn a_chain_registration_stays_on_that_chain() {
+        let mut w = World::new(5);
+        let [c0, c1, c2] = [0, 1, 2].map(|_| w.add_chain("x", Duration(1)));
+        let p = w.add_party();
+        let outsider = PartyId(900);
+        let kp = KeyPair::derive(outsider, 99);
+        w.chain_mut(c1).unwrap().register_key(outsider, &kp);
+        let sig = kp.sign_words(&[1]);
+        let verifies = |w: &World, c: ChainId| w.chain(c).unwrap().keys().verify_words(&sig, &[1]);
+        assert!(verifies(&w, c1));
+        assert!(!verifies(&w, c0) && !verifies(&w, c2));
+        assert!(w
+            .chain(c0)
+            .unwrap()
+            .keys()
+            .public_key_of(outsider)
+            .is_none());
+        // The untouched chains still share one directory; c1 has its own.
+        let keys = |c: ChainId| w.chain(c).unwrap().keys();
+        assert!(std::ptr::eq(keys(c0), keys(c2)));
+        assert!(!std::ptr::eq(keys(c0), keys(c1)));
+        // A later world-wide registration reaches the private copy as well,
+        // and the private key still stays on its chain.
+        let q = w.add_party();
+        for c in [c0, c1, c2] {
+            let keys = w.chain(c).unwrap().keys();
+            assert!(keys.public_key_of(p).is_some() && keys.public_key_of(q).is_some());
+        }
+        assert!(verifies(&w, c1));
+        assert!(!verifies(&w, c0) && !verifies(&w, c2));
+    }
+
+    #[test]
+    fn chain_ids_are_dense_and_unknown_ids_fail() {
+        let mut w = World::new(1);
+        w.reserve_chains(3);
+        let ids: Vec<ChainId> = (0..3).map(|_| w.add_chain("x", Duration(1))).collect();
+        assert_eq!(ids, [ChainId(0), ChainId(1), ChainId(2)]);
+        assert_eq!(w.chain_ids(), ids);
+        assert_eq!(w.chain(ChainId(2)).unwrap().id(), ChainId(2));
+        assert!(matches!(
+            w.chain(ChainId(3)),
+            Err(ChainError::UnknownChain(ChainId(3)))
+        ));
+        assert!(w.chain_mut(ChainId(7)).is_err());
+        let p = w.add_party();
+        assert!(w.has_party(p) && !w.has_party(PartyId(1)));
     }
 
     #[test]

@@ -117,8 +117,8 @@ impl DealEngine for SwapEngine {
         let swap = Self::as_swap_spec(spec).ok_or_else(|| {
             DealError::Config("deal is not expressible as a two-party HTLC swap".into())
         })?;
-        setup::check_parties_exist(world, spec)?;
-        setup::check_chains_exist(world, spec)?;
+        setup::check_parties_exist(world, plan)?;
+        setup::check_chains_exist(world, plan)?;
         setup::apply_offline_windows(world, configs);
 
         // The two legs' interned assets, resolved once at planning time.

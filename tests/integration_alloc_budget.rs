@@ -1,8 +1,9 @@
 //! Allocation budget for the nine-party ring: a counting global allocator
 //! pins how many heap allocations one `Deal::run_planned` call may make under
-//! the timelock and CBC protocols and how many the property checks may make
-//! on its outcome, and the timelock commit phase's gas counters pin the work
-//! the paper's cost model charges for it. A live-bytes counter bounds what a
+//! the timelock and CBC protocols, how many the property checks may make on
+//! its outcome and how many an observation with nothing new to read may
+//! make, and the timelock commit phase's gas counters pin the work the
+//! paper's cost model charges for it. A live-bytes counter bounds what a
 //! finished sweep keeps per cell.
 //!
 //! Allocation counts are exact for a given code path (the simulation is
@@ -19,6 +20,7 @@ use xchain_deals::phases::Phase;
 use xchain_deals::properties::{
     check_conservation, check_safety, check_strong_liveness, check_weak_liveness,
 };
+use xchain_deals::strategy::ObservationHub;
 use xchain_deals::Deal;
 use xchain_harness::adversary::strategy_scenarios;
 use xchain_harness::experiments::two_party_deal;
@@ -115,7 +117,7 @@ fn ring9_allocs(protocol: impl Fn() -> Protocol) -> u64 {
 fn ring9_timelock_deal_stays_within_its_allocation_budget() {
     let allocs = ring9_allocs(Protocol::timelock);
     assert!(
-        allocs <= 413,
+        allocs <= 254,
         "ring9 timelock deal made {allocs} allocations"
     );
 }
@@ -123,7 +125,7 @@ fn ring9_timelock_deal_stays_within_its_allocation_budget() {
 #[test]
 fn ring9_cbc_deal_stays_within_its_allocation_budget() {
     let allocs = ring9_allocs(Protocol::cbc);
-    assert!(allocs <= 380, "ring9 CBC deal made {allocs} allocations");
+    assert!(allocs <= 330, "ring9 CBC deal made {allocs} allocations");
 }
 
 /// The four property checks read the outcome by reference: on a committed
@@ -144,6 +146,36 @@ fn property_checks_on_a_committed_ring9_outcome_allocate_nothing() {
         assert!(holds);
         assert_eq!(allocs, 0, "the property checks made {allocs} allocations");
     }
+}
+
+/// Once every party's view has caught up with a finished ring9 deal's logs,
+/// an observation finds no new entries on any chain and allocates nothing.
+#[test]
+fn an_observation_with_no_new_log_entries_allocates_nothing() {
+    let deal = Deal::new(ring_spec(DealId(9), 9)).seed(1);
+    let plan = deal.plan().unwrap();
+    let mut world = deal.build_world().unwrap();
+    let run = deal.run_in(&mut world, Protocol::timelock()).unwrap();
+    assert!(run.outcome.committed_everywhere());
+    let spec = deal.spec();
+    let mut hub = ObservationHub::new(&plan).expect_votes_per_chain(spec.n_parties());
+    for &p in &spec.parties {
+        let ctx = hub.ctx(&world, spec, p, Phase::Commit, Some(true));
+        assert_eq!(ctx.view.commit_votes.len(), spec.n_parties());
+    }
+    let (allocs, votes) = count_allocs(|| {
+        spec.parties
+            .iter()
+            .map(|&p| {
+                hub.ctx(&world, spec, p, Phase::Commit, Some(true))
+                    .view
+                    .commit_votes
+                    .len()
+            })
+            .sum::<usize>()
+    });
+    assert_eq!(votes, spec.n_parties() * spec.n_parties());
+    assert_eq!(allocs, 0, "idle observations made {allocs} allocations");
 }
 
 /// A finished sweep keeps each cell's outcome, contracts and protocol

@@ -1,6 +1,7 @@
 //! Integration tests: the CBC commit protocol end-to-end, driven through the
 //! unified `Deal` builder API.
 
+use xchain_bft::validator::validator_party_id;
 use xchain_deals::builders::{auction_spec, broker_spec, ring_spec};
 use xchain_deals::cbc::CbcOptions;
 use xchain_deals::party::{Deviation, PartyConfig};
@@ -19,6 +20,32 @@ fn broker_deal_commits_under_cbc() {
     assert!(run.ext.cbc_status().unwrap().is_committed());
     assert!(run.outcome.committed_everywhere());
     assert!(check_strong_liveness(deal.spec(), &[], &run.outcome));
+}
+
+/// The CBC engine registers its validators once per world; every deal
+/// chain then verifies a validator quorum's signatures, and attributes each
+/// to the validator's reserved party id.
+#[test]
+fn validator_signatures_verify_on_every_deal_chain() {
+    let deal = Deal::new(ring_spec(DealId(5), 5)).seed(3);
+    let run = deal.run(Protocol::cbc()).unwrap();
+    assert!(run.outcome.committed_everywhere());
+    let validators = run.ext.cbc_log().unwrap().validators();
+    let message = [5, 0xC0FFEE];
+    let quorum = validators.quorum_sign(&message).unwrap();
+    assert_eq!(quorum.len(), validators.quorum());
+    for chain in deal.spec().chains() {
+        let keys = run.world.chain(chain).unwrap().keys();
+        for (vid, sig) in &quorum {
+            assert_eq!(keys.party_of(sig.signer), Some(validator_party_id(*vid)));
+            assert!(keys.verify_words(sig, &message), "{chain}");
+            assert!(!keys.verify_words(sig, &[5, 0xC0FFEF]));
+        }
+        // The parties' own keys are still there, next to the validators'.
+        for &p in &deal.spec().parties {
+            assert!(keys.public_key_of(p).is_some());
+        }
+    }
 }
 
 #[test]

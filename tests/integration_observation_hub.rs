@@ -170,7 +170,7 @@ fn hub_views_match_per_party_cursor_views_on_an_adversarial_trace() {
                 tickets,
                 Owner::Party(p),
                 tl,
-                |m: &mut TimelockManager, c| m.commit(c, &vote),
+                |m: &mut TimelockManager, c| m.commit(c, vote.view()),
             )
             .unwrap();
         check(&world, &mut hub, &mut observers, alice, "after a vote");
