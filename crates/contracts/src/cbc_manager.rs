@@ -13,14 +13,13 @@ use std::sync::Arc;
 
 use xchain_bft::proof::{BlockProof, DealStatus, StatusCertificate};
 use xchain_bft::validator::{validator_party_id, ValidatorSetInfo};
-use xchain_sim::asset::Asset;
 use xchain_sim::contract::{CallCtx, Contract};
 use xchain_sim::crypto::Hash;
 use xchain_sim::error::ChainResult;
 use xchain_sim::ids::{DealId, PartyId};
 use xchain_sim::intern::InternedAsset;
 
-use crate::escrow::{EscrowCore, EscrowResolution};
+use crate::escrow::{DealEscrow, EscrowCore};
 
 /// Deal information the CBC protocol passes to each escrow contract at escrow
 /// time: the deal id, plist, the hash `h` of the definitive startDeal record,
@@ -53,55 +52,6 @@ impl CbcManager {
             core: EscrowCore::new(info.deal, info.plist.clone()),
             info,
         }
-    }
-
-    /// The configured deal information (checked by parties during validation).
-    pub fn info(&self) -> &CbcDealInfo {
-        &self.info
-    }
-
-    /// Read access to the escrow state.
-    pub fn core(&self) -> &EscrowCore {
-        &self.core
-    }
-
-    /// How the escrow resolved, if it has.
-    pub fn resolution(&self) -> Option<EscrowResolution> {
-        self.core.resolution()
-    }
-
-    /// Escrow phase: `escrow(D, plist, h, a, validators)`.
-    pub fn escrow(&mut self, ctx: &mut CallCtx<'_>, asset: Asset) -> ChainResult<()> {
-        self.core.escrow(ctx, asset)
-    }
-
-    /// Escrow phase with a pre-interned asset (plan-based engines).
-    pub fn escrow_interned(
-        &mut self,
-        ctx: &mut CallCtx<'_>,
-        asset: InternedAsset,
-    ) -> ChainResult<()> {
-        self.core.escrow_interned(ctx, asset)
-    }
-
-    /// Transfer phase: `transfer(D, a, a', Q)`.
-    pub fn transfer(
-        &mut self,
-        ctx: &mut CallCtx<'_>,
-        asset: Asset,
-        to: PartyId,
-    ) -> ChainResult<()> {
-        self.core.transfer(ctx, asset, to)
-    }
-
-    /// Transfer phase with a pre-interned asset (plan-based engines).
-    pub fn transfer_interned(
-        &mut self,
-        ctx: &mut CallCtx<'_>,
-        asset: &InternedAsset,
-        to: PartyId,
-    ) -> ChainResult<()> {
-        self.core.transfer_interned(ctx, asset, to)
     }
 
     /// Verifies a status certificate following Figure 6: unique signers, all
@@ -203,6 +153,34 @@ impl CbcManager {
     }
 }
 
+impl DealEscrow for CbcManager {
+    type Info = CbcDealInfo;
+
+    /// The configured deal information (checked by parties during validation).
+    fn info(&self) -> &CbcDealInfo {
+        &self.info
+    }
+
+    fn core(&self) -> &EscrowCore {
+        &self.core
+    }
+
+    /// Escrow phase: `escrow(D, plist, h, a, validators)`.
+    fn escrow_interned(&mut self, ctx: &mut CallCtx<'_>, asset: InternedAsset) -> ChainResult<()> {
+        self.core.escrow_interned(ctx, asset)
+    }
+
+    /// Transfer phase: `transfer(D, a, a', Q)`.
+    fn transfer_interned(
+        &mut self,
+        ctx: &mut CallCtx<'_>,
+        asset: &InternedAsset,
+        to: PartyId,
+    ) -> ChainResult<()> {
+        self.core.transfer_interned(ctx, asset, to)
+    }
+}
+
 impl Contract for CbcManager {
     fn type_name(&self) -> &'static str {
         "cbc-manager"
@@ -221,7 +199,9 @@ impl Contract for CbcManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::escrow::EscrowResolution;
     use xchain_bft::log::CbcLog;
+    use xchain_sim::asset::Asset;
     use xchain_sim::error::ChainError;
     use xchain_sim::ids::{ChainId, ContractId, Owner};
     use xchain_sim::ledger::Blockchain;
@@ -269,7 +249,9 @@ mod tests {
                 Time(0),
                 Owner::Party(carol),
                 fx.contract,
-                |m: &mut CbcManager, ctx| m.escrow(ctx, Asset::fungible("coin", 101)),
+                |m: &mut CbcManager, ctx| {
+                    m.escrow_interned(ctx, ctx.intern_asset(&Asset::fungible("coin", 101)))
+                },
             )
             .unwrap();
         fx.chain
@@ -277,7 +259,13 @@ mod tests {
                 Time(1),
                 Owner::Party(carol),
                 fx.contract,
-                |m: &mut CbcManager, ctx| m.transfer(ctx, Asset::fungible("coin", 101), alice),
+                |m: &mut CbcManager, ctx| {
+                    m.transfer_interned(
+                        ctx,
+                        &ctx.intern_asset(&Asset::fungible("coin", 101)),
+                        alice,
+                    )
+                },
             )
             .unwrap();
         fx.chain
@@ -285,7 +273,9 @@ mod tests {
                 Time(2),
                 Owner::Party(alice),
                 fx.contract,
-                |m: &mut CbcManager, ctx| m.transfer(ctx, Asset::fungible("coin", 100), bob),
+                |m: &mut CbcManager, ctx| {
+                    m.transfer_interned(ctx, &ctx.intern_asset(&Asset::fungible("coin", 100)), bob)
+                },
             )
             .unwrap();
     }

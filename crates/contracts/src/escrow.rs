@@ -286,6 +286,41 @@ impl EscrowCore {
     }
 }
 
+/// An escrow contract of a commit protocol: the [`EscrowCore`] semantics of
+/// Section 4 behind the protocol's own deal information. The escrow,
+/// tentative-transfer and validation phases are the same for every deal, so
+/// the deal engines drive them through this trait whatever the protocol;
+/// only resolution differs, and stays on the concrete contract.
+pub trait DealEscrow: Contract {
+    /// The deal information the contract is configured with, which parties
+    /// compare with the deal they agreed to during validation.
+    type Info: PartialEq;
+
+    /// The configured deal information.
+    fn info(&self) -> &Self::Info;
+
+    /// Read access to the escrow state.
+    fn core(&self) -> &EscrowCore;
+
+    /// Escrow phase with a pre-interned asset (see
+    /// [`EscrowCore::escrow_interned`]).
+    fn escrow_interned(&mut self, ctx: &mut CallCtx<'_>, asset: InternedAsset) -> ChainResult<()>;
+
+    /// Transfer phase with a pre-interned asset (see
+    /// [`EscrowCore::transfer_interned`]).
+    fn transfer_interned(
+        &mut self,
+        ctx: &mut CallCtx<'_>,
+        asset: &InternedAsset,
+        to: PartyId,
+    ) -> ChainResult<()>;
+
+    /// How the escrow resolved, if it has.
+    fn resolution(&self) -> Option<EscrowResolution> {
+        self.core().resolution()
+    }
+}
+
 /// A bare escrow manager exposing only the Section 4 escrow/transfer
 /// semantics plus explicit commit/abort. It has no commit *protocol* of its
 /// own — the timelock and CBC managers wrap [`EscrowCore`] with one — but it

@@ -11,7 +11,6 @@
 use std::any::Any;
 use std::sync::Arc;
 
-use xchain_sim::asset::Asset;
 use xchain_sim::contract::{CallCtx, Contract};
 use xchain_sim::crypto::{hash_words, PathSig};
 use xchain_sim::error::ChainResult;
@@ -19,7 +18,7 @@ use xchain_sim::ids::{DealId, PartyId};
 use xchain_sim::intern::InternedAsset;
 use xchain_sim::time::{Duration, Time};
 
-use crate::escrow::{EscrowCore, EscrowResolution};
+use crate::escrow::{DealEscrow, EscrowCore};
 
 /// Deal information broadcast by the market-clearing service and checked by
 /// every escrow contract in the timelock protocol: `Dinfo` in the paper.
@@ -105,17 +104,6 @@ impl TimelockManager {
         }
     }
 
-    /// The deal information this contract was configured with (parties check
-    /// it during validation).
-    pub fn info(&self) -> &TimelockDealInfo {
-        &self.info
-    }
-
-    /// Read access to the escrow state.
-    pub fn core(&self) -> &EscrowCore {
-        &self.core
-    }
-
     /// Parties whose commit votes have been accepted so far, in plist order.
     pub fn voted(&self) -> impl Iterator<Item = PartyId> + '_ {
         self.info
@@ -129,45 +117,6 @@ impl TimelockManager {
     /// True if a vote from every party has been accepted.
     pub fn all_voted(&self) -> bool {
         self.voted.count == self.info.plist.len()
-    }
-
-    /// How the escrow resolved, if it has.
-    pub fn resolution(&self) -> Option<EscrowResolution> {
-        self.core.resolution()
-    }
-
-    /// Escrow phase: `escrow(D, Dinfo, a)`.
-    pub fn escrow(&mut self, ctx: &mut CallCtx<'_>, asset: Asset) -> ChainResult<()> {
-        self.core.escrow(ctx, asset)
-    }
-
-    /// Escrow phase with a pre-interned asset (plan-based engines).
-    pub fn escrow_interned(
-        &mut self,
-        ctx: &mut CallCtx<'_>,
-        asset: InternedAsset,
-    ) -> ChainResult<()> {
-        self.core.escrow_interned(ctx, asset)
-    }
-
-    /// Transfer phase: `transfer(D, a, a', Q)`.
-    pub fn transfer(
-        &mut self,
-        ctx: &mut CallCtx<'_>,
-        asset: Asset,
-        to: PartyId,
-    ) -> ChainResult<()> {
-        self.core.transfer(ctx, asset, to)
-    }
-
-    /// Transfer phase with a pre-interned asset (plan-based engines).
-    pub fn transfer_interned(
-        &mut self,
-        ctx: &mut CallCtx<'_>,
-        asset: &InternedAsset,
-        to: PartyId,
-    ) -> ChainResult<()> {
-        self.core.transfer_interned(ctx, asset, to)
     }
 
     /// Commit phase: `commit(D, v, p)` — accept a (possibly forwarded) commit
@@ -255,6 +204,35 @@ impl TimelockManager {
     }
 }
 
+impl DealEscrow for TimelockManager {
+    type Info = TimelockDealInfo;
+
+    /// The deal information this contract was configured with (parties check
+    /// it during validation).
+    fn info(&self) -> &TimelockDealInfo {
+        &self.info
+    }
+
+    fn core(&self) -> &EscrowCore {
+        &self.core
+    }
+
+    /// Escrow phase: `escrow(D, Dinfo, a)`.
+    fn escrow_interned(&mut self, ctx: &mut CallCtx<'_>, asset: InternedAsset) -> ChainResult<()> {
+        self.core.escrow_interned(ctx, asset)
+    }
+
+    /// Transfer phase: `transfer(D, a, a', Q)`.
+    fn transfer_interned(
+        &mut self,
+        ctx: &mut CallCtx<'_>,
+        asset: &InternedAsset,
+        to: PartyId,
+    ) -> ChainResult<()> {
+        self.core.transfer_interned(ctx, asset, to)
+    }
+}
+
 impl Contract for TimelockManager {
     fn type_name(&self) -> &'static str {
         "timelock-manager"
@@ -273,6 +251,8 @@ impl Contract for TimelockManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::escrow::EscrowResolution;
+    use xchain_sim::asset::Asset;
     use xchain_sim::crypto::{KeyPair, PathSignature};
     use xchain_sim::error::ChainError;
     use xchain_sim::ids::{ChainId, ContractId, Owner};
@@ -329,7 +309,12 @@ mod tests {
                 Time(0),
                 Owner::Party(bob),
                 fx.contract,
-                |m: &mut TimelockManager, ctx| m.escrow(ctx, Asset::non_fungible("ticket", [1, 2])),
+                |m: &mut TimelockManager, ctx| {
+                    m.escrow_interned(
+                        ctx,
+                        ctx.intern_asset(&Asset::non_fungible("ticket", [1, 2])),
+                    )
+                },
             )
             .unwrap();
         fx.chain
@@ -338,7 +323,11 @@ mod tests {
                 Owner::Party(bob),
                 fx.contract,
                 |m: &mut TimelockManager, ctx| {
-                    m.transfer(ctx, Asset::non_fungible("ticket", [1, 2]), alice)
+                    m.transfer_interned(
+                        ctx,
+                        &ctx.intern_asset(&Asset::non_fungible("ticket", [1, 2])),
+                        alice,
+                    )
                 },
             )
             .unwrap();
@@ -348,7 +337,11 @@ mod tests {
                 Owner::Party(alice),
                 fx.contract,
                 |m: &mut TimelockManager, ctx| {
-                    m.transfer(ctx, Asset::non_fungible("ticket", [1, 2]), carol)
+                    m.transfer_interned(
+                        ctx,
+                        &ctx.intern_asset(&Asset::non_fungible("ticket", [1, 2])),
+                        carol,
+                    )
                 },
             )
             .unwrap();

@@ -7,23 +7,22 @@
 //! longer to be observed, and impatient parties may rescind by voting abort —
 //! but the deal still either commits everywhere or aborts everywhere.
 
-use std::collections::BTreeMap;
-
 use xchain_bft::log::CbcLog;
 use xchain_bft::proof::DealStatus;
 use xchain_contracts::cbc_manager::{CbcDealInfo, CbcManager};
-use xchain_sim::ids::{ChainId, ContractId, Owner, PartyId};
+use xchain_sim::ids::{Owner, PartyId};
 use xchain_sim::time::Duration;
 use xchain_sim::world::World;
 
+use crate::driver::{self, Session};
+use crate::engine::{EngineRun, ProtocolExt};
 use crate::error::DealError;
-use crate::outcome::{ChainResolution, DealOutcome, ProtocolKind};
-use crate::party::{configs_by_position, PartyConfig};
-use crate::phases::{Phase, PhaseMetrics};
+use crate::outcome::ProtocolKind;
+use crate::party::PartyConfig;
+use crate::phases::{Phase, PhaseClock};
 use crate::plan::DealPlan;
-use crate::setup::advance_one_observation;
+use crate::setup::{self, advance_one_observation};
 use crate::strategy::{ObservationHub, Vote};
-use crate::{setup, validation};
 
 /// Tunable options for the CBC protocol engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,47 +59,20 @@ impl Default for CbcOptions {
     }
 }
 
-/// The result of a CBC deal execution.
-#[derive(Debug)]
-pub struct CbcRun {
-    /// The measured outcome.
-    pub outcome: DealOutcome,
-    /// The CBC escrow contract installed on each involved chain.
-    pub contracts: BTreeMap<ChainId, ContractId>,
-    /// The certified log after the run (for post-mortem inspection).
-    pub log: CbcLog,
-    /// Which parties passed validation.
-    pub validated: BTreeMap<PartyId, bool>,
-    /// The final deal status recorded on the CBC.
-    pub status: DealStatus,
-}
-
 /// The CBC protocol driver behind [`crate::Protocol::Cbc`].
 pub(crate) fn drive(
     world: &mut World,
     plan: &DealPlan,
     configs: &[PartyConfig],
     opts: &CbcOptions,
-) -> Result<CbcRun, DealError> {
+) -> Result<EngineRun, DealError> {
     let spec = plan.spec();
-    setup::check_parties_exist(world, plan)?;
-    setup::check_chains_exist(world, plan)?;
-    setup::apply_offline_windows(world, configs);
-
-    let mut metrics = PhaseMetrics::new();
-    let initial_holdings = world.holdings_by_party(&spec.parties);
-    // Every party's configuration, resolved once and indexed by plan
-    // position.
-    let cfgs = configs_by_position(&spec.parties, configs);
-    // One shared observation hub for the whole deal (see the timelock
-    // engine): a single filtered ingest pass per chain, one view per party.
-    let mut hub = ObservationHub::new(plan);
+    let mut s = Session::begin(world, plan, configs, ObservationHub::new(plan))?;
 
     // ------------------------------------------------------------------
     // Clearing phase: create the CBC, publish startDeal, install contracts.
     // ------------------------------------------------------------------
-    let clearing_started = world.now();
-    let gas_before = world.total_gas();
+    let clock = PhaseClock::start(Phase::Clearing, world);
     let mut cbc = CbcLog::new(opts.f, world.seed() ^ 0xCBC);
     for p in &opts.censored_parties {
         cbc.censor(*p);
@@ -124,113 +96,31 @@ pub(crate) fn drive(
         start_hash,
         validators: cbc.initial_validators(),
     };
-    let mut contracts: BTreeMap<ChainId, ContractId> = BTreeMap::new();
-    for &chain in plan.chains() {
-        let id = world
-            .chain_mut(chain)
-            .map_err(DealError::Chain)?
-            .install(CbcManager::new(info.clone()));
-        contracts.insert(chain, id);
-    }
-    metrics.add_gas(Phase::Clearing, gas_before.delta_to(&world.total_gas()));
-    metrics.add_duration(Phase::Clearing, world.now() - clearing_started);
+    let contracts = driver::install(world, plan, || CbcManager::new(info.clone()))?;
+    clock.stop(world, &mut s.metrics);
 
-    // ------------------------------------------------------------------
-    // Escrow phase.
-    // ------------------------------------------------------------------
-    let escrow_started = world.now();
-    let gas_before = world.total_gas();
-    for e in plan.escrows() {
-        let cfg = &cfgs[e.owner_ix];
-        let willing = {
-            let ctx = hub.ctx(world, spec, e.owner, Phase::Escrow, None);
-            cfg.strategy.is_online(ctx.now) && cfg.strategy.on_escrow(&ctx)
-        };
-        if !willing {
-            continue;
-        }
-        let contract = contracts[&e.chain];
-        let result = world.call(
-            e.chain,
-            Owner::Party(e.owner),
-            contract,
-            |m: &mut CbcManager, ctx| m.escrow_interned(ctx, e.asset.clone()),
-        );
-        match result {
-            Ok(()) => {}
-            Err(err) if cfg.is_compliant() && !world.is_offline(e.owner, world.now()) => {
-                return Err(DealError::Chain(err))
-            }
-            Err(_) => {}
-        }
-    }
-    advance_one_observation(world);
-    metrics.add_gas(Phase::Escrow, gas_before.delta_to(&world.total_gas()));
-    metrics.add_duration(Phase::Escrow, world.now() - escrow_started);
-
-    // ------------------------------------------------------------------
-    // Transfer phase.
-    // ------------------------------------------------------------------
-    let transfer_started = world.now();
-    let gas_before = world.total_gas();
-    let order = plan.transfer_order();
-    for (step, idx) in order.iter().enumerate() {
-        let t = &plan.transfers()[*idx];
-        let cfg = &cfgs[t.from_ix];
-        let willing = {
-            let ctx = hub.ctx(world, spec, t.from, Phase::Transfer, None);
-            cfg.strategy.is_online(ctx.now) && cfg.strategy.on_transfer(&ctx)
-        };
-        if willing {
-            let contract = contracts[&t.chain];
-            let _ = world.call(
-                t.chain,
-                Owner::Party(t.from),
-                contract,
-                |m: &mut CbcManager, ctx| m.transfer_interned(ctx, &t.asset, t.to),
-            );
-        }
-        if !opts.concurrent_transfers && step + 1 < order.len() {
-            advance_one_observation(world);
-        }
-    }
-    advance_one_observation(world);
-    metrics.add_gas(Phase::Transfer, gas_before.delta_to(&world.total_gas()));
-    metrics.add_duration(Phase::Transfer, world.now() - transfer_started);
-
-    // ------------------------------------------------------------------
-    // Validation phase.
-    // ------------------------------------------------------------------
-    let validation_started = world.now();
-    let gas_before = world.total_gas();
-    let mut validated: BTreeMap<PartyId, bool> = BTreeMap::new();
-    for (pp, cfg) in plan.parties().iter().zip(&cfgs) {
-        let p = pp.id;
-        let mechanical = validation::validate_cbc_plan(world, pp, &info, &contracts);
-        let ok = {
-            let ctx = hub.ctx(world, spec, p, Phase::Validation, Some(mechanical));
-            cfg.strategy.on_validate(&ctx)
-        };
-        validated.insert(p, ok);
-    }
-    advance_one_observation(world);
-    metrics.add_gas(Phase::Validation, gas_before.delta_to(&world.total_gas()));
-    metrics.add_duration(Phase::Validation, world.now() - validation_started);
+    // Escrow, tentative transfers and validation: the phases every deal
+    // shares.
+    let validated = s.escrow_transfer_validate::<CbcManager>(
+        world,
+        &contracts,
+        &info,
+        opts.concurrent_transfers,
+    )?;
 
     // ------------------------------------------------------------------
     // Commit phase: votes on the CBC, then proof presentation to contracts.
     // ------------------------------------------------------------------
-    let commit_started = world.now();
-    let gas_before = world.total_gas();
+    let clock = PhaseClock::start(Phase::Commit, world);
 
     // All parties vote in parallel (the CBC orders them).
-    for (&p, cfg) in spec.parties.iter().zip(&cfgs) {
+    for (&p, cfg) in spec.parties.iter().zip(&s.cfgs) {
         if world.is_offline(p, world.now()) || !cfg.strategy.is_online(world.now()) {
             continue;
         }
         let verdict = validated.get(&p).copied().unwrap_or(false);
         let vote = {
-            let ctx = hub.ctx(world, spec, p, Phase::Commit, Some(verdict));
+            let ctx = s.hub.ctx(world, spec, p, Phase::Commit, Some(verdict));
             cfg.strategy.on_vote(&ctx)
         };
         match vote {
@@ -254,7 +144,7 @@ pub(crate) fn drive(
         .map_err(DealError::Cbc)?;
     if matches!(status, DealStatus::Active) {
         world.advance_by(opts.patience);
-        for (&p, cfg) in spec.parties.iter().zip(&cfgs) {
+        for (&p, cfg) in spec.parties.iter().zip(&s.cfgs) {
             if cfg.is_compliant()
                 && !world.is_offline(p, world.now())
                 && cfg.strategy.is_online(world.now())
@@ -306,48 +196,14 @@ pub(crate) fn drive(
         }
         advance_one_observation(world);
     }
-    metrics.add_gas(Phase::Commit, gas_before.delta_to(&world.total_gas()));
-    metrics.add_duration(Phase::Commit, world.now() - commit_started);
+    clock.stop(world, &mut s.metrics);
 
-    // ------------------------------------------------------------------
-    // Collect the outcome.
-    // ------------------------------------------------------------------
-    let final_holdings = world.holdings_by_party(&spec.parties);
-    let mut resolutions = BTreeMap::new();
-    for (&chain, &contract) in &contracts {
-        let res = world
-            .chain(chain)
-            .ok()
-            .and_then(|c| c.view(contract, |m: &CbcManager| m.resolution()).ok())
-            .flatten();
-        resolutions.insert(
-            chain,
-            match res {
-                Some(xchain_contracts::escrow::EscrowResolution::Committed) => {
-                    ChainResolution::Committed
-                }
-                Some(xchain_contracts::escrow::EscrowResolution::Aborted) => {
-                    ChainResolution::Aborted
-                }
-                None => ChainResolution::Unresolved,
-            },
-        );
-    }
-
-    Ok(CbcRun {
-        outcome: DealOutcome {
-            protocol: ProtocolKind::Cbc,
-            initial_holdings,
-            final_holdings,
-            resolutions,
-            metrics,
-            delta: opts.delta,
-        },
-        contracts,
+    let ext = ProtocolExt::Cbc {
         log: cbc,
-        validated,
         status,
-    })
+        validated,
+    };
+    Ok(s.finish::<CbcManager>(world, ProtocolKind::Cbc, opts.delta, contracts, ext))
 }
 
 #[cfg(test)]
@@ -356,7 +212,7 @@ mod tests {
     use crate::builders::broker_spec;
     use crate::deal::{Deal, DealRun};
     use crate::engine::Protocol;
-    use crate::party::Deviation;
+    use crate::strategy::strategies;
     use xchain_sim::asset::Asset;
     use xchain_sim::network::NetworkModel;
 
@@ -398,7 +254,10 @@ mod tests {
 
     #[test]
     fn withheld_vote_leads_to_abort_everywhere() {
-        let configs = vec![PartyConfig::deviating(PartyId(1), Deviation::WithholdVote)];
+        let configs = vec![PartyConfig::with_strategy(
+            PartyId(1),
+            strategies::withhold_vote(),
+        )];
         let run = run_broker(
             &configs,
             &CbcOptions::default(),
@@ -418,7 +277,10 @@ mod tests {
 
     #[test]
     fn explicit_abort_vote_aborts_everywhere() {
-        let configs = vec![PartyConfig::deviating(PartyId(2), Deviation::VoteAbort)];
+        let configs = vec![PartyConfig::with_strategy(
+            PartyId(2),
+            strategies::vote_abort(),
+        )];
         let run = run_broker(
             &configs,
             &CbcOptions::default(),

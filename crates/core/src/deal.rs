@@ -10,14 +10,15 @@
 //!
 //! ```
 //! use xchain_deals::builders::broker_spec;
-//! use xchain_deals::party::{Deviation, PartyConfig};
+//! use xchain_deals::party::PartyConfig;
+//! use xchain_deals::strategy::strategies;
 //! use xchain_deals::{Deal, Protocol};
 //! use xchain_sim::ids::PartyId;
 //! use xchain_sim::network::NetworkModel;
 //!
 //! let deal = Deal::new(broker_spec())
 //!     .network(NetworkModel::synchronous(100))
-//!     .parties(&[PartyConfig::deviating(PartyId(2), Deviation::WithholdVote)])
+//!     .parties(&[PartyConfig::with_strategy(PartyId(2), strategies::withhold_vote())])
 //!     .seed(42);
 //! let run = deal.run(Protocol::timelock()).unwrap();
 //! assert!(run.outcome.aborted_everywhere());
@@ -211,7 +212,8 @@ mod tests {
     use super::*;
     use crate::builders::{broker_spec, ring_spec};
     use crate::engine::Protocol;
-    use crate::party::{Deviation, PartyConfig};
+    use crate::party::PartyConfig;
+    use crate::strategy::strategies;
     use xchain_sim::asset::Asset;
     use xchain_sim::ids::{DealId, Owner, PartyId};
 
@@ -236,7 +238,10 @@ mod tests {
     #[test]
     fn party_configs_flow_through() {
         let run = Deal::new(broker_spec())
-            .party(PartyConfig::deviating(PartyId(1), Deviation::WithholdVote))
+            .party(PartyConfig::with_strategy(
+                PartyId(1),
+                strategies::withhold_vote(),
+            ))
             .seed(3)
             .run(Protocol::timelock())
             .unwrap();

@@ -42,25 +42,24 @@
 //!
 //! The engines behind [`engine::Protocol`]:
 //!
-//! * [`Protocol::Timelock`](engine::Protocol::Timelock) — the fully
-//!   decentralized timelock commit protocol for synchronous networks
-//!   (Section 5), with path-signature votes and `|p| · ∆` timeouts;
-//! * [`Protocol::Cbc`](engine::Protocol::Cbc) — the certified-blockchain
-//!   commit protocol for eventually-synchronous networks (Section 6), with
-//!   validator-certified proofs of commit and abort.
+//! * [`Protocol::Timelock`] — the fully decentralized timelock commit
+//!   protocol for synchronous networks (Section 5), with path-signature votes
+//!   and `|p| · ∆` timeouts;
+//! * [`Protocol::Cbc`] — the certified-blockchain commit protocol for
+//!   eventually-synchronous networks (Section 6), with validator-certified
+//!   proofs of commit and abort.
 //!
 //! Party behaviour is an **open adversary API**: a [`party::PartyConfig`]
 //! pairs a party with a [`strategy::Strategy`] — per-phase decision hooks fed
 //! an [`strategy::ObservationCtx`] (the party's own, cursor-fed view of the
 //! deal) — so adversaries can be adaptive and stateful, and new attacks are
-//! user code instead of core edits. The classic behaviours survive as
-//! [`party::Deviation`] descriptions realized by built-in strategies
-//! ([`strategy::strategies`]), alongside adversaries the old enum could not
-//! express (sore-loser, colluding coalitions, rational defectors). The
-//! paper's Properties 1–3 are executable checks in [`properties`]. The
-//! pre-0.2 free functions (`run_timelock`, `run_cbc`) have been removed; the
-//! [`deal::Deal`] builder is the only entry point (see the migration table in
-//! CHANGES.md).
+//! user code instead of core edits. The built-in strategies
+//! ([`strategy::strategies`]) cover the classic failure and attack modes and
+//! adversaries that act on what they observe or share (sore-loser, colluding
+//! coalitions, rational defectors). The paper's Properties 1–3 are
+//! executable checks in [`properties`]. The pre-0.2 free functions
+//! (`run_timelock`, `run_cbc`) have been removed; the [`deal::Deal`] builder
+//! is the only entry point (see the migration table in CHANGES.md).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -69,6 +68,7 @@ pub mod builders;
 pub mod cbc;
 pub mod deal;
 pub mod digraph;
+mod driver;
 pub mod engine;
 pub mod error;
 pub mod outcome;
@@ -82,13 +82,13 @@ pub mod strategy;
 pub mod timelock;
 pub mod validation;
 
-pub use cbc::{CbcOptions, CbcRun};
+pub use cbc::CbcOptions;
 pub use deal::{Deal, DealRun};
 pub use digraph::{is_well_formed, DealDigraph};
 pub use engine::{DealEngine, EngineRun, Protocol, ProtocolExt};
 pub use error::DealError;
 pub use outcome::{ChainResolution, DealOutcome, ProtocolKind};
-pub use party::{config_of, configs_by_position, fresh_configs, Deviation, PartyConfig};
+pub use party::{config_of, configs_by_position, fresh_configs, PartyConfig};
 pub use phases::{Phase, PhaseMetrics};
 pub use plan::{DealPlan, PartyPlan, PlannedEscrow, PlannedTransfer};
 pub use properties::{
@@ -99,4 +99,4 @@ pub use strategy::{
     strategies, DealObserver, DealView, ObservationCtx, ObservationHub, ObservedEvent, Strategy,
     Vote,
 };
-pub use timelock::{TimelockOptions, TimelockRun};
+pub use timelock::TimelockOptions;

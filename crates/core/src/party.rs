@@ -5,15 +5,9 @@
 //! makes no assumption about how many parties deviate or how. Behaviour is
 //! therefore an open [`Strategy`] trait (see [`crate::strategy`]): a
 //! [`PartyConfig`] pairs a party with the strategy that answers its protocol
-//! decisions, and new adversaries are user code, not core edits.
-//!
-//! The [`Deviation`] enum survives as the *description* of the classic
-//! failure and attack modes the paper discusses — crashing or walking away at
-//! any phase, refusing to escrow or transfer, withholding or never forwarding
-//! votes, voting abort, claiming dissatisfaction at validation, and being
-//! driven offline during the commit window. [`PartyConfig::deviating`] turns
-//! a description into its built-in strategy, so legacy callers migrate
-//! mechanically (see the MIGRATION table in CHANGES.md).
+//! decisions, and new adversaries are user code, not core edits. The classic
+//! failure and attack modes are built-in strategies
+//! ([`crate::strategy::strategies`]).
 
 use std::fmt;
 use std::sync::Arc;
@@ -21,45 +15,7 @@ use std::sync::Arc;
 use xchain_sim::ids::PartyId;
 use xchain_sim::time::Time;
 
-use crate::phases::Phase;
 use crate::strategy::{strategies, Strategy};
-
-/// How a party deviates from the protocol, if at all: the catalog of classic
-/// behaviours, each realized by a built-in [`Strategy`]
-/// (`strategies::from_deviation`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Deviation {
-    /// Follows the protocol exactly.
-    None,
-    /// Stops participating entirely after completing the given phase
-    /// (crash / walk-away).
-    CrashAfter(Phase),
-    /// Never escrows its outgoing assets (joins the deal, then reneges).
-    RefuseEscrow,
-    /// Escrows but never performs its tentative transfers.
-    SkipTransfers,
-    /// Performs every phase but never sends a commit vote.
-    WithholdVote,
-    /// Timelock only: sends its own commit votes but never forwards other
-    /// parties' votes (free-rides on the forwarding work of others).
-    NeverForward,
-    /// CBC only: votes to abort during the commit phase even though
-    /// validation succeeded.
-    VoteAbort,
-    /// Declares its incoming assets unsatisfactory during validation and
-    /// therefore never votes to commit.
-    RejectValidation,
-    /// Is offline (crashed or under denial of service) during `[from, until)`;
-    /// otherwise behaves like a compliant party. Going offline at the wrong
-    /// moment is a deviation: the paper notes such parties can miss the
-    /// window in which they must claim assets or forward votes.
-    OfflineDuring {
-        /// Start of the outage.
-        from: Time,
-        /// End of the outage (exclusive).
-        until: Time,
-    },
-}
 
 /// The behaviour configuration of one party in a deal execution: the party
 /// plus the [`Strategy`] that makes its decisions. Cloning shares the
@@ -88,16 +44,6 @@ impl PartyConfig {
         PartyConfig {
             id,
             strategy: strategies::compliant(),
-        }
-    }
-
-    /// A party following one of the classic deviation behaviours (the legacy
-    /// entry point; equivalent to `with_strategy(id,
-    /// strategies::from_deviation(deviation))`).
-    pub fn deviating(id: PartyId, deviation: Deviation) -> Self {
-        PartyConfig {
-            id,
-            strategy: strategies::from_deviation(deviation),
         }
     }
 
@@ -166,6 +112,7 @@ pub fn fresh_configs(configs: &[PartyConfig]) -> Vec<PartyConfig> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::phases::Phase;
     use crate::strategy::{DealView, ObservationCtx, Vote};
 
     #[test]
@@ -173,29 +120,30 @@ mod tests {
         let c = PartyConfig::compliant(PartyId(0));
         assert!(c.is_compliant());
         assert_eq!(c.offline_window(), None);
-        let d = PartyConfig::deviating(PartyId(1), Deviation::WithholdVote);
+        let d = PartyConfig::with_strategy(PartyId(1), strategies::withhold_vote());
         assert!(!d.is_compliant());
-        let off = PartyConfig::deviating(
-            PartyId(2),
-            Deviation::OfflineDuring {
-                from: Time(5),
-                until: Time(10),
-            },
-        );
+        let off =
+            PartyConfig::with_strategy(PartyId(2), strategies::offline_during(Time(5), Time(10)));
         assert!(!off.is_compliant());
         assert_eq!(off.offline_window(), Some((Time(5), Time(10))));
     }
 
     #[test]
     fn config_lookup_defaults_to_compliant() {
-        let configs = vec![PartyConfig::deviating(PartyId(1), Deviation::WithholdVote)];
+        let configs = vec![PartyConfig::with_strategy(
+            PartyId(1),
+            strategies::withhold_vote(),
+        )];
         assert!(config_of(&configs, PartyId(0)).is_compliant());
         assert!(!config_of(&configs, PartyId(1)).is_compliant());
     }
 
     #[test]
     fn position_table_matches_per_party_lookup_and_shares_the_compliant_strategy() {
-        let configs = vec![PartyConfig::deviating(PartyId(1), Deviation::WithholdVote)];
+        let configs = vec![PartyConfig::with_strategy(
+            PartyId(1),
+            strategies::withhold_vote(),
+        )];
         let parties = [PartyId(2), PartyId(1), PartyId(0)];
         let table = configs_by_position(&parties, &configs);
         assert_eq!(table.len(), 3);
@@ -214,7 +162,6 @@ mod tests {
 
     #[test]
     fn fresh_configs_preserves_sharing_and_resets_state() {
-        use crate::strategy::strategies;
         let shared = strategies::coalition([PartyId(0), PartyId(1)]);
         let solo = strategies::sore_loser();
         let configs = vec![
@@ -243,11 +190,11 @@ mod tests {
             view: &view,
             validated: Some(true),
         };
-        let c = PartyConfig::deviating(PartyId(0), Deviation::RefuseEscrow);
+        let c = PartyConfig::with_strategy(PartyId(0), strategies::refuse_escrow());
         assert!(!c.strategy.on_escrow(&ctx));
-        let c = PartyConfig::deviating(PartyId(0), Deviation::VoteAbort);
+        let c = PartyConfig::with_strategy(PartyId(0), strategies::vote_abort());
         assert_eq!(c.strategy.on_vote(&ctx), Vote::Abort);
-        let c = PartyConfig::deviating(PartyId(0), Deviation::CrashAfter(Phase::Escrow));
+        let c = PartyConfig::with_strategy(PartyId(0), strategies::crash_after(Phase::Escrow));
         assert!(c.strategy.on_escrow(&ctx));
         assert!(!c.strategy.on_transfer(&ctx));
     }

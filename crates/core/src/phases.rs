@@ -4,7 +4,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use xchain_sim::gas::GasUsage;
-use xchain_sim::time::Duration;
+use xchain_sim::time::{Duration, Time};
+use xchain_sim::world::World;
 
 /// The five phases of a cross-chain deal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -91,6 +92,33 @@ impl PhaseMetrics {
         self.duration
             .values()
             .fold(Duration::ZERO, |acc, d| acc + *d)
+    }
+}
+
+/// One phase under measurement: [`PhaseClock::start`] notes the world's
+/// clock and gas total, [`PhaseClock::stop`] adds what the phase used since
+/// to a [`PhaseMetrics`].
+#[derive(Debug)]
+pub struct PhaseClock {
+    phase: Phase,
+    started: Time,
+    gas_before: GasUsage,
+}
+
+impl PhaseClock {
+    /// Starts measuring `phase` at the world's current time and gas total.
+    pub fn start(phase: Phase, world: &World) -> Self {
+        PhaseClock {
+            phase,
+            started: world.now(),
+            gas_before: world.total_gas(),
+        }
+    }
+
+    /// Adds the gas and simulated time the phase used to `metrics`.
+    pub fn stop(self, world: &World, metrics: &mut PhaseMetrics) {
+        metrics.add_gas(self.phase, self.gas_before.delta_to(&world.total_gas()));
+        metrics.add_duration(self.phase, world.now() - self.started);
     }
 }
 

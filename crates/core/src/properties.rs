@@ -336,8 +336,8 @@ mod tests {
     use super::*;
     use crate::builders::broker_spec;
     use crate::outcome::ProtocolKind;
-    use crate::party::Deviation;
     use crate::phases::PhaseMetrics;
+    use crate::strategy::strategies;
     use xchain_sim::ids::ChainId;
     use xchain_sim::time::Duration;
 
@@ -448,7 +448,7 @@ mod tests {
     fn deviating_parties_are_not_protected() {
         let spec = broker_spec();
         let bob = PartyId(1);
-        let configs = vec![PartyConfig::deviating(bob, Deviation::WithholdVote)];
+        let configs = vec![PartyConfig::with_strategy(bob, strategies::withhold_vote())];
         let bad = outcome_with(
             vec![(bob, bag(0, &[1, 2]))],
             vec![(bob, bag(0, &[]))],
@@ -496,7 +496,7 @@ mod tests {
     fn weak_liveness_ignores_deviating_escrowers() {
         let spec = broker_spec();
         let bob = PartyId(1);
-        let configs = vec![PartyConfig::deviating(bob, Deviation::WithholdVote)];
+        let configs = vec![PartyConfig::with_strategy(bob, strategies::withhold_vote())];
         // The ticket chain never resolves, but only Bob (deviating) escrowed there.
         let outcome = outcome_with(
             vec![],

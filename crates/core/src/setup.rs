@@ -3,12 +3,16 @@
 //! references and mint the assets that parties are supposed to own at the
 //! start.
 
+use std::collections::BTreeMap;
+
+use xchain_sim::asset::AssetBag;
 use xchain_sim::ids::{ChainId, Owner, PartyId};
 use xchain_sim::network::NetworkModel;
 use xchain_sim::time::Duration;
 use xchain_sim::world::World;
 
 use crate::error::DealError;
+use crate::party::PartyConfig;
 use crate::plan::DealPlan;
 use crate::spec::DealSpec;
 
@@ -105,8 +109,23 @@ pub fn check_chains_exist(world: &World, plan: &DealPlan) -> Result<(), DealErro
     }
 }
 
+/// The prologue every engine runs before its first phase: the plan's
+/// parties and chains must exist, and the offline windows the
+/// configurations declare are applied. Returns every party's holdings at
+/// the start.
+pub fn begin(
+    world: &mut World,
+    plan: &DealPlan,
+    configs: &[PartyConfig],
+) -> Result<BTreeMap<PartyId, AssetBag>, DealError> {
+    check_parties_exist(world, plan)?;
+    check_chains_exist(world, plan)?;
+    apply_offline_windows(world, configs);
+    Ok(world.holdings_by_party(&plan.spec().parties))
+}
+
 /// Applies the offline windows declared in party configurations to the world.
-pub fn apply_offline_windows(world: &mut World, configs: &[crate::party::PartyConfig]) {
+pub fn apply_offline_windows(world: &mut World, configs: &[PartyConfig]) {
     for c in configs {
         if let Some((from, until)) = c.offline_window() {
             world.set_offline(c.id, from, until);
@@ -120,7 +139,7 @@ pub fn apply_offline_windows(world: &mut World, configs: &[crate::party::PartyCo
 pub fn pick_online_party(
     world: &World,
     spec: &DealSpec,
-    configs: &[crate::party::PartyConfig],
+    configs: &[PartyConfig],
 ) -> Option<PartyId> {
     let now = world.now();
     let available = |p: PartyId| {
@@ -152,8 +171,8 @@ pub fn chains_touched_by(spec: &DealSpec, party: PartyId) -> Vec<ChainId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::party::{Deviation, PartyConfig};
     use crate::spec::{EscrowSpec, TransferSpec};
+    use crate::strategy::strategies;
     use xchain_sim::asset::Asset;
     use xchain_sim::ids::DealId;
     use xchain_sim::time::Time;
@@ -214,12 +233,9 @@ mod tests {
     fn offline_windows_and_party_picking() {
         let spec = tiny_spec();
         let mut world = world_for_spec(&spec, NetworkModel::synchronous(10), 3).unwrap();
-        let configs = vec![PartyConfig::deviating(
+        let configs = vec![PartyConfig::with_strategy(
             PartyId(0),
-            Deviation::OfflineDuring {
-                from: Time(0),
-                until: Time(100),
-            },
+            strategies::offline_during(Time(0), Time(100)),
         )];
         apply_offline_windows(&mut world, &configs);
         assert!(world.is_offline(PartyId(0), Time(50)));

@@ -1,26 +1,26 @@
-//! The open adversary API: party behaviour as a [`Strategy`] trait instead of
-//! a closed enum.
+//! The open adversary API: party behaviour as a [`Strategy`] trait.
 //!
 //! The paper deliberately makes no assumption about *how* parties deviate —
 //! they are "compliant or deviating, whether rationally or not" (Section 3).
-//! Early versions of this crate encoded deviation as a closed
-//! [`crate::party::Deviation`] enum whose variants the protocol engines
-//! pattern-matched on, so every new attack required editing the core crates.
-//! This module turns behaviour into user code: a [`Strategy`] answers one
-//! question per protocol decision point (escrow? transfer? accept
-//! validation? vote? forward? claim?), and every answer is computed from an
-//! [`ObservationCtx`] — the party's own view of the deal so far — so
-//! strategies can be *adaptive and stateful*, not just static flags.
+//! A [`Strategy`] answers one question per protocol decision point (escrow?
+//! transfer? accept validation? vote? forward? claim?), and every answer is
+//! computed from an [`ObservationCtx`] — the party's own view of the deal so
+//! far — so strategies can be *adaptive and stateful*, not just static flags,
+//! and new attacks are user code, not engine edits.
 //!
-//! Observation is first-class: each party owns a [`DealObserver`] holding one
-//! [`LogCursor`] per chain, refreshed via [`Blockchain::log_from`] so
-//! monitoring costs O(new entries) per decision, never a re-scan of the whole
-//! log. What the observer distills (escrow lock-ins, tentative transfers,
-//! commit votes, escrow resolutions) is exposed as a [`DealView`].
+//! Observation is first-class. The engines keep one [`ObservationHub`] per
+//! deal: one shared [`LogCursor`] per chain reads each new log entry once,
+//! and the parsed events are folded into each party's [`DealView`] at its
+//! next decision, so monitoring costs O(new entries) per decision, never a
+//! re-scan of the whole log. A [`DealObserver`] gives a single party cursors
+//! of its own (refreshed via [`Blockchain::log_from`]) and accumulates the
+//! identical view; it is the reference the hub is tested against.
 //!
-//! Every legacy `Deviation` variant is available as a built-in strategy (see
-//! [`strategies`]) with *bit-identical* deal outcomes, and three adversaries
-//! that the old enum could not express at all ride along:
+//! The built-in strategies ([`strategies`]) are the classic failure and
+//! attack modes the paper discusses — crashing after a phase, refusing to
+//! escrow or transfer, withholding or never forwarding votes, voting abort,
+//! rejecting validation, going offline — and three adversaries that act on
+//! what they observe or share state:
 //!
 //! * [`strategies::sore_loser`] — escrows, then abandons the deal exactly
 //!   when it observes every counterparty's escrow lock in (the sore-loser
@@ -235,8 +235,8 @@ pub enum ObservedEvent {
 
 impl ObservedEvent {
     /// Parses one log entry into the event it contributes to a [`DealView`],
-    /// if any. Mirrors [`ingest`]'s label vocabulary, driven by the entry's
-    /// pre-parsed [`EventTag`] instead of the label string.
+    /// if any: the label vocabulary a [`DealObserver`] ingests, driven by
+    /// the entry's pre-parsed [`EventTag`] instead of the label string.
     pub fn parse(entry: &LogEntry) -> Option<ObservedEvent> {
         let caller = match entry.caller {
             Owner::Party(p) => Some(p),
@@ -281,7 +281,7 @@ impl ObservedEvent {
 /// entries a `Vec`'s first push allocates anyway, and only at that first
 /// push: a collection that stays empty (an aborted deal's votes) still
 /// allocates nothing, and one that fills grows once instead of doubling.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct ViewCaps {
     escrows: usize,
     transfers: usize,
@@ -371,39 +371,8 @@ impl ObservationHub {
     /// resolution (plus the votes [`ObservationHub::expect_votes_per_chain`]
     /// announces), so each chain's event buffer is allocated once.
     pub fn new(plan: &DealPlan) -> Self {
-        let mut hub = Self::subscribe(plan.chains(), plan.plist().clone());
-        let chains = plan.escrows().iter().map(|e| e.chain);
-        for chain in chains.chain(plan.transfers().iter().map(|t| t.chain)) {
-            if let Some(ix) = plan.chain_index(chain) {
-                hub.feeds[ix].room += 1;
-            }
-        }
-        hub.caps = ViewCaps {
-            escrows: plan.escrows().len(),
-            transfers: plan.transfers().len(),
-            votes: plan.parties().len(),
-            resolutions: plan.chains().len(),
-        };
-        hub
-    }
-
-    /// Sizes each chain's event buffer for `votes` more events: the commit
-    /// votes a protocol logs on every asset chain (one per party under the
-    /// timelock protocol, none under CBC).
-    pub fn expect_votes_per_chain(mut self, votes: usize) -> Self {
-        for feed in &mut self.feeds {
-            feed.room += votes;
-        }
-        self
-    }
-
-    /// A hub for an explicit chain and party set (tests, custom monitors).
-    pub fn for_parties(chains: Vec<ChainId>, parties: Vec<PartyId>) -> Self {
-        Self::subscribe(&chains, parties.into())
-    }
-
-    fn subscribe(chains: &[ChainId], parties: Arc<[PartyId]>) -> Self {
-        ObservationHub {
+        let (chains, parties) = (plan.chains(), plan.plist());
+        let mut hub = ObservationHub {
             filter: deal_filter(),
             feeds: chains
                 .iter()
@@ -416,9 +385,31 @@ impl ObservationHub {
                 .collect(),
             views: vec![DealView::default(); parties.len()],
             positions: vec![0; parties.len() * chains.len()],
-            parties,
-            caps: ViewCaps::default(),
+            parties: parties.clone(),
+            caps: ViewCaps {
+                escrows: plan.escrows().len(),
+                transfers: plan.transfers().len(),
+                votes: parties.len(),
+                resolutions: chains.len(),
+            },
+        };
+        let escrow_chains = plan.escrows().iter().map(|e| e.chain);
+        for chain in escrow_chains.chain(plan.transfers().iter().map(|t| t.chain)) {
+            if let Some(ix) = plan.chain_index(chain) {
+                hub.feeds[ix].room += 1;
+            }
         }
+        hub
+    }
+
+    /// Sizes each chain's event buffer for `votes` more events: the commit
+    /// votes a protocol logs on every asset chain (one per party under the
+    /// timelock protocol, none under CBC).
+    pub fn expect_votes_per_chain(mut self, votes: usize) -> Self {
+        for feed in &mut self.feeds {
+            feed.room += votes;
+        }
+        self
     }
 
     /// The label-filter subscription in force.
@@ -493,9 +484,9 @@ impl ObservationHub {
     /// Refreshes from the world and assembles the observation context for one
     /// party's decision — the hub counterpart of [`DealObserver::ctx`].
     /// Ingest and fold run in one fused pass over the subscribed chains
-    /// (through the same [`ObservationHub::ingest_chain`] /
-    /// [`ObservationHub::fold_chain`] steps `refresh` and `view_of` use), so
-    /// a decision with nothing new costs one cursor check per chain.
+    /// (the same steps [`ObservationHub::refresh`] and
+    /// [`ObservationHub::view_of`] take), so a decision with nothing new
+    /// costs one cursor check per chain.
     pub fn ctx<'a>(
         &'a mut self,
         world: &World,
@@ -635,157 +626,157 @@ impl fmt::Debug for dyn Strategy {
     }
 }
 
-/// The built-in strategy catalog: every legacy [`Deviation`] as a strategy
-/// (identical deal outcomes, see the parity tests), plus the adversaries only
-/// expressible under the trait.
-///
-/// [`Deviation`]: crate::party::Deviation
+/// The built-in strategy catalog: the classic failure and attack modes the
+/// paper discusses, plus adversaries that need observation or shared state.
 pub mod strategies {
     use std::collections::BTreeSet;
     use std::sync::{Mutex, OnceLock};
 
     use super::*;
-    use crate::party::Deviation;
 
     /// The compliant strategy: every hook at its default. It is stateless,
     /// so every caller shares one instance and the call allocates nothing.
     pub fn compliant() -> Arc<dyn Strategy> {
         static COMPLIANT: OnceLock<Arc<dyn Strategy>> = OnceLock::new();
         COMPLIANT
-            .get_or_init(|| from_deviation(Deviation::None))
+            .get_or_init(|| Arc::new(Builtin::Compliant))
             .clone()
     }
 
-    /// Stops participating after completing `phase` (crash / walk-away),
-    /// like [`Deviation::CrashAfter`].
+    /// Stops participating entirely after completing `phase` (crash /
+    /// walk-away).
     pub fn crash_after(phase: Phase) -> Arc<dyn Strategy> {
-        from_deviation(Deviation::CrashAfter(phase))
+        Arc::new(Builtin::CrashAfter(phase))
     }
 
-    /// Never escrows its outgoing assets, like [`Deviation::RefuseEscrow`].
+    /// Never escrows its outgoing assets (joins the deal, then reneges).
     pub fn refuse_escrow() -> Arc<dyn Strategy> {
-        from_deviation(Deviation::RefuseEscrow)
+        Arc::new(Builtin::RefuseEscrow)
     }
 
-    /// Escrows but never performs its tentative transfers, like
-    /// [`Deviation::SkipTransfers`].
+    /// Escrows but never performs its tentative transfers.
     pub fn skip_transfers() -> Arc<dyn Strategy> {
-        from_deviation(Deviation::SkipTransfers)
+        Arc::new(Builtin::SkipTransfers)
     }
 
-    /// Performs every phase but never sends a commit vote, like
-    /// [`Deviation::WithholdVote`].
+    /// Performs every phase but never sends a commit vote.
     pub fn withhold_vote() -> Arc<dyn Strategy> {
-        from_deviation(Deviation::WithholdVote)
+        Arc::new(Builtin::WithholdVote)
     }
 
-    /// Votes but never forwards other parties' votes, like
-    /// [`Deviation::NeverForward`].
+    /// Timelock: sends its own commit votes but never forwards other
+    /// parties' votes (free-rides on the forwarding work of others).
     pub fn never_forward() -> Arc<dyn Strategy> {
-        from_deviation(Deviation::NeverForward)
+        Arc::new(Builtin::NeverForward)
     }
 
-    /// Votes abort during the commit phase, like [`Deviation::VoteAbort`].
+    /// CBC: votes abort during the commit phase even though validation
+    /// succeeded.
     pub fn vote_abort() -> Arc<dyn Strategy> {
-        from_deviation(Deviation::VoteAbort)
+        Arc::new(Builtin::VoteAbort)
     }
 
-    /// Declares its incoming assets unsatisfactory at validation, like
-    /// [`Deviation::RejectValidation`].
+    /// Declares its incoming assets unsatisfactory at validation, and so
+    /// never votes to commit.
     pub fn reject_validation() -> Arc<dyn Strategy> {
-        from_deviation(Deviation::RejectValidation)
+        Arc::new(Builtin::RejectValidation)
     }
 
-    /// Offline (crashed or under denial of service) during `[from, until)`,
-    /// like [`Deviation::OfflineDuring`].
+    /// Offline (crashed or under denial of service) during `[from, until)`;
+    /// otherwise compliant. Going offline at the wrong moment is a
+    /// deviation: the paper notes such parties can miss the window in which
+    /// they must claim assets or forward votes.
     pub fn offline_during(from: Time, until: Time) -> Arc<dyn Strategy> {
-        from_deviation(Deviation::OfflineDuring { from, until })
+        Arc::new(Builtin::OfflineDuring { from, until })
     }
 
-    /// The built-in strategy reproducing a legacy [`Deviation`] exactly:
-    /// same decisions at every hook, hence bit-identical runs.
-    pub fn from_deviation(deviation: Deviation) -> Arc<dyn Strategy> {
-        Arc::new(DeviationStrategy(deviation))
-    }
-
-    /// The legacy enum behaviours, expressed through the hook table that the
-    /// old `PartyConfig::will_*` predicates implemented.
+    /// The behaviours behind the constructors above, one hook table for all.
     #[derive(Debug, Clone, Copy)]
-    struct DeviationStrategy(Deviation);
+    enum Builtin {
+        Compliant,
+        CrashAfter(Phase),
+        RefuseEscrow,
+        SkipTransfers,
+        WithholdVote,
+        NeverForward,
+        VoteAbort,
+        RejectValidation,
+        OfflineDuring { from: Time, until: Time },
+    }
 
-    impl DeviationStrategy {
+    impl Builtin {
         fn participates_in(&self, phase: Phase) -> bool {
-            match self.0 {
-                Deviation::CrashAfter(last) => phase <= last,
+            match *self {
+                Builtin::CrashAfter(last) => phase <= last,
                 _ => true,
             }
         }
 
         fn will_vote_commit(&self, ctx: &ObservationCtx<'_>) -> bool {
             !matches!(
-                self.0,
-                Deviation::RefuseEscrow
-                    | Deviation::SkipTransfers
-                    | Deviation::WithholdVote
-                    | Deviation::VoteAbort
-                    | Deviation::RejectValidation
+                self,
+                Builtin::RefuseEscrow
+                    | Builtin::SkipTransfers
+                    | Builtin::WithholdVote
+                    | Builtin::VoteAbort
+                    | Builtin::RejectValidation
             ) && self.participates_in(Phase::Commit)
                 && ctx.validated.unwrap_or(true)
         }
     }
 
-    impl Strategy for DeviationStrategy {
+    impl Strategy for Builtin {
         fn name(&self) -> String {
-            match self.0 {
-                Deviation::None => "compliant".into(),
-                Deviation::CrashAfter(phase) => format!("crash-after-{phase}"),
-                Deviation::RefuseEscrow => "refuse-escrow".into(),
-                Deviation::SkipTransfers => "skip-transfers".into(),
-                Deviation::WithholdVote => "withhold-vote".into(),
-                Deviation::NeverForward => "never-forward".into(),
-                Deviation::VoteAbort => "vote-abort".into(),
-                Deviation::RejectValidation => "reject-validation".into(),
-                Deviation::OfflineDuring { from, until } => {
+            match *self {
+                Builtin::Compliant => "compliant".into(),
+                Builtin::CrashAfter(phase) => format!("crash-after-{phase}"),
+                Builtin::RefuseEscrow => "refuse-escrow".into(),
+                Builtin::SkipTransfers => "skip-transfers".into(),
+                Builtin::WithholdVote => "withhold-vote".into(),
+                Builtin::NeverForward => "never-forward".into(),
+                Builtin::VoteAbort => "vote-abort".into(),
+                Builtin::RejectValidation => "reject-validation".into(),
+                Builtin::OfflineDuring { from, until } => {
                     format!("offline-{}..{}", from.0, until.0)
                 }
             }
         }
 
         fn is_compliant(&self) -> bool {
-            matches!(self.0, Deviation::None)
+            matches!(self, Builtin::Compliant)
         }
 
         fn is_online(&self, t: Time) -> bool {
-            match self.0 {
-                Deviation::OfflineDuring { from, until } => !(from <= t && t < until),
+            match *self {
+                Builtin::OfflineDuring { from, until } => !(from <= t && t < until),
                 _ => true,
             }
         }
 
         fn offline_window(&self) -> Option<(Time, Time)> {
-            match self.0 {
-                Deviation::OfflineDuring { from, until } => Some((from, until)),
+            match *self {
+                Builtin::OfflineDuring { from, until } => Some((from, until)),
                 _ => None,
             }
         }
 
         fn on_escrow(&self, _ctx: &ObservationCtx<'_>) -> bool {
-            !matches!(self.0, Deviation::RefuseEscrow) && self.participates_in(Phase::Escrow)
+            !matches!(self, Builtin::RefuseEscrow) && self.participates_in(Phase::Escrow)
         }
 
         fn on_transfer(&self, _ctx: &ObservationCtx<'_>) -> bool {
-            !matches!(self.0, Deviation::RefuseEscrow | Deviation::SkipTransfers)
+            !matches!(self, Builtin::RefuseEscrow | Builtin::SkipTransfers)
                 && self.participates_in(Phase::Transfer)
         }
 
         fn on_validate(&self, ctx: &ObservationCtx<'_>) -> bool {
-            ctx.validated.unwrap_or(true) && !matches!(self.0, Deviation::RejectValidation)
+            ctx.validated.unwrap_or(true) && !matches!(self, Builtin::RejectValidation)
         }
 
         fn on_vote(&self, ctx: &ObservationCtx<'_>) -> Vote {
             if self.will_vote_commit(ctx) {
                 Vote::Commit
-            } else if matches!(self.0, Deviation::VoteAbort | Deviation::RejectValidation)
+            } else if matches!(self, Builtin::VoteAbort | Builtin::RejectValidation)
                 && self.participates_in(Phase::Commit)
             {
                 Vote::Abort
@@ -795,12 +786,12 @@ pub mod strategies {
         }
 
         fn on_forward(&self, ctx: &ObservationCtx<'_>) -> bool {
-            self.will_vote_commit(ctx) && !matches!(self.0, Deviation::NeverForward)
+            self.will_vote_commit(ctx) && !matches!(self, Builtin::NeverForward)
         }
     }
 
     // ------------------------------------------------------------------
-    // The adversaries the closed enum could not express.
+    // Adversaries that act on what they observe or share state.
     // ------------------------------------------------------------------
 
     /// The sore-loser attacker: escrows its own assets like a compliant
@@ -1047,7 +1038,7 @@ mod tests {
     }
 
     #[test]
-    fn builtin_strategies_reproduce_the_deviation_table() {
+    fn builtin_strategies_answer_their_hook_table() {
         let spec = broker_spec();
         let view = DealView::default();
         let validated = Some(true);

@@ -1,11 +1,12 @@
 //! The timelock commit protocol engine (Section 5).
 //!
 //! This module drives a complete deal execution over the simulated world:
-//! clearing, escrow, tentative transfers, validation, and the vote /
-//! vote-forwarding commit phase with path-signature timeouts. The engine
-//! executes from a pre-resolved [`DealPlan`] (interned assets, fixed transfer
-//! order, per-party chain tables), so no kind-name `String` is looked up
-//! after planning. Party behaviour is controlled by each [`PartyConfig`]'s
+//! clearing, the escrow, tentative-transfer and validation phases every deal
+//! shares (run by the crate's phase driver), and the vote / vote-forwarding
+//! commit phase with path-signature timeouts. The engine executes from a
+//! pre-resolved [`DealPlan`] (interned assets, fixed transfer order,
+//! per-party chain tables), so no kind-name `String` is looked up after
+//! planning. Party behaviour is controlled by each [`PartyConfig`]'s
 //! [`crate::strategy::Strategy`]: at every decision point the engine consults
 //! the deal's shared [`ObservationHub`] (one label-filtered log ingest pass
 //! per chain, fanned out to every party's view) and asks the strategy, so
@@ -16,19 +17,19 @@ use std::collections::BTreeMap;
 
 use xchain_contracts::timelock::{TimelockDealInfo, TimelockManager};
 use xchain_sim::crypto::{KeyPair, PathSig, Signature};
-use xchain_sim::gas::GasUsage;
 use xchain_sim::ids::{ChainId, ContractId, Owner, PartyId};
 use xchain_sim::time::{Duration, Time};
 use xchain_sim::world::World;
 
+use crate::driver::{self, Session};
+use crate::engine::{EngineRun, ProtocolExt};
 use crate::error::DealError;
-use crate::outcome::{ChainResolution, DealOutcome, ProtocolKind};
-use crate::party::{configs_by_position, PartyConfig};
-use crate::phases::{Phase, PhaseMetrics};
+use crate::outcome::ProtocolKind;
+use crate::party::PartyConfig;
+use crate::phases::{Phase, PhaseClock};
 use crate::plan::DealPlan;
-use crate::setup::advance_one_observation;
+use crate::setup::{self, advance_one_observation};
 use crate::strategy::{ObservationHub, Vote};
-use crate::{setup, validation};
 
 /// Tunable options for the timelock protocol engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -241,52 +242,28 @@ impl VoteBoard {
     }
 }
 
-/// The result of a timelock deal execution: the measured outcome plus the
-/// per-chain contract ids (useful for post-mortem inspection in tests).
-#[derive(Debug)]
-pub struct TimelockRun {
-    /// The measured outcome.
-    pub outcome: DealOutcome,
-    /// The timelock escrow contract installed on each involved chain.
-    pub contracts: BTreeMap<ChainId, ContractId>,
-    /// Which parties passed validation (compliant parties vote only if true).
-    pub validated: BTreeMap<PartyId, bool>,
-}
-
 /// The timelock protocol driver behind [`crate::Protocol::Timelock`]: installs
 /// the escrow contracts, schedules every party action according to its
-/// [`PartyConfig`], and returns the measured [`DealOutcome`] plus the
-/// per-chain contracts and validation verdicts.
+/// [`PartyConfig`], and returns the measured outcome plus the per-chain
+/// contracts and validation verdicts.
 pub(crate) fn drive(
     world: &mut World,
     plan: &DealPlan,
     configs: &[PartyConfig],
     opts: &TimelockOptions,
-) -> Result<TimelockRun, DealError> {
+) -> Result<EngineRun, DealError> {
     let spec = plan.spec();
-    setup::check_parties_exist(world, plan)?;
-    setup::check_chains_exist(world, plan)?;
-    setup::apply_offline_windows(world, configs);
-
-    let mut metrics = PhaseMetrics::new();
-    let initial_holdings = world.holdings_by_party(&spec.parties);
-    // Every party's configuration, resolved once and indexed by plan
-    // position.
-    let cfgs = configs_by_position(&spec.parties, configs);
+    let hub = ObservationHub::new(plan).expect_votes_per_chain(plan.parties().len());
+    let mut s = Session::begin(world, plan, configs, hub)?;
     // Plan chains are sorted and cover every party's chains, so the lookup
     // cannot miss.
     let index_of_chain = |chain: ChainId| plan.chain_index(chain).expect("a plan chain");
-    // One shared hub for the whole deal: a single filtered log ingest pass
-    // per chain, fanned out to every party's private view (identical to the
-    // per-party DealObserver views, at a fraction of the cost).
-    let mut hub = ObservationHub::new(plan).expect_votes_per_chain(plan.parties().len());
 
     // ------------------------------------------------------------------
     // Clearing phase: broadcast (D, plist, t0, ∆) and install the escrow
     // contract on every involved chain.
     // ------------------------------------------------------------------
-    let clearing_started = world.now();
-    let gas_before = world.total_gas();
+    let clock = PhaseClock::start(Phase::Clearing, world);
     // t0 must be far enough in the future for escrow, transfers and
     // validation to complete (Section 5: "The choice of t0 should be far
     // enough in the future to take into account the time needed to perform
@@ -298,121 +275,34 @@ pub(crate) fn drive(
         t0,
         delta: opts.delta,
     };
-    let mut contracts: BTreeMap<ChainId, ContractId> = BTreeMap::new();
+    let contracts = driver::install(world, plan, || TimelockManager::new(info.clone()))?;
     // The same ids by chain position, for the commit phase's hot loops.
-    let mut contract_ids: Vec<ContractId> = Vec::with_capacity(plan.chains().len());
-    for &chain in plan.chains() {
-        let id = world
-            .chain_mut(chain)
-            .map_err(DealError::Chain)?
-            .install(TimelockManager::new(info.clone()));
-        contracts.insert(chain, id);
-        contract_ids.push(id);
-    }
-    metrics.add_gas(Phase::Clearing, gas_before.delta_to(&world.total_gas()));
-    metrics.add_duration(Phase::Clearing, world.now() - clearing_started);
+    let contract_ids: Vec<ContractId> = contracts.values().copied().collect();
+    clock.stop(world, &mut s.metrics);
 
-    // ------------------------------------------------------------------
-    // Escrow phase: every participating party escrows its outgoing assets in
-    // parallel; the phase costs at most one observation delay.
-    // ------------------------------------------------------------------
-    let escrow_started = world.now();
-    let gas_before = world.total_gas();
-    for e in plan.escrows() {
-        let cfg = &cfgs[e.owner_ix];
-        let willing = {
-            let ctx = hub.ctx(world, spec, e.owner, Phase::Escrow, None);
-            cfg.strategy.is_online(ctx.now) && cfg.strategy.on_escrow(&ctx)
-        };
-        if !willing {
-            continue;
-        }
-        let contract = contracts[&e.chain];
-        let result = world.call(
-            e.chain,
-            Owner::Party(e.owner),
-            contract,
-            |m: &mut TimelockManager, ctx| m.escrow_interned(ctx, e.asset.clone()),
-        );
-        match result {
-            Ok(()) => {}
-            Err(err) if cfg.is_compliant() && !world.is_offline(e.owner, world.now()) => {
-                return Err(DealError::Chain(err))
-            }
-            Err(_) => {} // deviating or offline parties simply fail to escrow
-        }
-    }
-    advance_one_observation(world);
-    metrics.add_gas(Phase::Escrow, gas_before.delta_to(&world.total_gas()));
-    metrics.add_duration(Phase::Escrow, world.now() - escrow_started);
-
-    // ------------------------------------------------------------------
-    // Transfer phase: tentative transfers in a dependency-respecting order.
-    // ------------------------------------------------------------------
-    let transfer_started = world.now();
-    let gas_before = world.total_gas();
-    let order = plan.transfer_order();
-    for (step, idx) in order.iter().enumerate() {
-        let t = &plan.transfers()[*idx];
-        let cfg = &cfgs[t.from_ix];
-        let willing = {
-            let ctx = hub.ctx(world, spec, t.from, Phase::Transfer, None);
-            cfg.strategy.is_online(ctx.now) && cfg.strategy.on_transfer(&ctx)
-        };
-        if willing {
-            let contract = contracts[&t.chain];
-            let _ = world.call(
-                t.chain,
-                Owner::Party(t.from),
-                contract,
-                |m: &mut TimelockManager, ctx| m.transfer_interned(ctx, &t.asset, t.to),
-            );
-        }
-        // Sequential transfers: the next sender must observe this one first.
-        if !opts.concurrent_transfers && step + 1 < order.len() {
-            advance_one_observation(world);
-        }
-    }
-    advance_one_observation(world);
-    metrics.add_gas(Phase::Transfer, gas_before.delta_to(&world.total_gas()));
-    metrics.add_duration(Phase::Transfer, world.now() - transfer_started);
-
-    // ------------------------------------------------------------------
-    // Validation phase: each party inspects its escrowed incoming assets.
-    // ------------------------------------------------------------------
-    let validation_started = world.now();
-    let gas_before = world.total_gas();
-    let mut validated: BTreeMap<PartyId, bool> = BTreeMap::new();
-    for (pp, cfg) in plan.parties().iter().zip(&cfgs) {
-        let p = pp.id;
-        // The mechanical verdict (escrows present, deal info consistent)
-        // rides in the context; the strategy decides whether to accept it.
-        let mechanical = validation::validate_timelock_plan(world, pp, &info, &contracts);
-        let ok = {
-            let ctx = hub.ctx(world, spec, p, Phase::Validation, Some(mechanical));
-            cfg.strategy.on_validate(&ctx)
-        };
-        validated.insert(p, ok);
-    }
-    advance_one_observation(world);
-    metrics.add_gas(Phase::Validation, gas_before.delta_to(&world.total_gas()));
-    metrics.add_duration(Phase::Validation, world.now() - validation_started);
+    // Escrow, tentative transfers and validation: the phases every deal
+    // shares.
+    let validated = s.escrow_transfer_validate::<TimelockManager>(
+        world,
+        &contracts,
+        &info,
+        opts.concurrent_transfers,
+    )?;
 
     // ------------------------------------------------------------------
     // Commit phase: direct votes at t0, then forwarding rounds, then timeout.
     // ------------------------------------------------------------------
     world.advance_to(t0);
-    let commit_started = world.now();
-    let gas_before = world.total_gas();
+    let clock = PhaseClock::start(Phase::Commit, world);
     let mut board = VoteBoard::default();
 
     // Direct votes: each willing party votes on its incoming-asset chains
     // (or on every chain when broadcasting altruistically).
-    for (voter_ix, (pp, cfg)) in plan.parties().iter().zip(&cfgs).enumerate() {
+    for (voter_ix, (pp, cfg)) in plan.parties().iter().zip(&s.cfgs).enumerate() {
         let p = pp.id;
         let verdict = validated.get(&p).copied().unwrap_or(false);
         let votes_commit = {
-            let ctx = hub.ctx(world, spec, p, Phase::Commit, Some(verdict));
+            let ctx = s.hub.ctx(world, spec, p, Phase::Commit, Some(verdict));
             cfg.strategy.is_online(ctx.now) && cfg.strategy.on_vote(&ctx) == Vote::Commit
         };
         if !votes_commit {
@@ -456,11 +346,11 @@ pub(crate) fn drive(
         // and fails the `< round_now` filter, so a prefix of the publication
         // order replaces a snapshot of it.
         let visible = board.published.len() as u32;
-        for (forwarder_ix, (pp, cfg)) in plan.parties().iter().zip(&cfgs).enumerate() {
+        for (forwarder_ix, (pp, cfg)) in plan.parties().iter().zip(&s.cfgs).enumerate() {
             let p = pp.id;
             let verdict = validated.get(&p).copied().unwrap_or(false);
             let forwards = {
-                let ctx = hub.ctx(world, spec, p, Phase::Commit, Some(verdict));
+                let ctx = s.hub.ctx(world, spec, p, Phase::Commit, Some(verdict));
                 cfg.strategy.is_online(ctx.now) && cfg.strategy.on_forward(&ctx)
             };
             if !forwards {
@@ -517,15 +407,7 @@ pub(crate) fn drive(
     if !all_resolved(world, &contracts) {
         world.advance_to(info.refund_time() + Duration(1));
         for (&chain, &contract) in &contracts {
-            let unresolved = world
-                .chain(chain)
-                .ok()
-                .and_then(|c| {
-                    c.view(contract, |m: &TimelockManager| m.resolution().is_none())
-                        .ok()
-                })
-                .unwrap_or(false);
-            if !unresolved {
+            if driver::resolution::<TimelockManager>(world, chain, contract).is_some() {
                 continue;
             }
             if let Some(caller) = setup::pick_online_party(world, spec, configs) {
@@ -538,65 +420,17 @@ pub(crate) fn drive(
             }
         }
     }
-    metrics.add_gas(Phase::Commit, gas_before.delta_to(&world.total_gas()));
-    metrics.add_duration(Phase::Commit, world.now() - commit_started);
+    clock.stop(world, &mut s.metrics);
 
-    // ------------------------------------------------------------------
-    // Collect the outcome.
-    // ------------------------------------------------------------------
-    let final_holdings = world.holdings_by_party(&spec.parties);
-    let mut resolutions = BTreeMap::new();
-    for (&chain, &contract) in &contracts {
-        let res = world
-            .chain(chain)
-            .ok()
-            .and_then(|c| c.view(contract, |m: &TimelockManager| m.resolution()).ok())
-            .flatten();
-        resolutions.insert(
-            chain,
-            match res {
-                Some(xchain_contracts::escrow::EscrowResolution::Committed) => {
-                    ChainResolution::Committed
-                }
-                Some(xchain_contracts::escrow::EscrowResolution::Aborted) => {
-                    ChainResolution::Aborted
-                }
-                None => ChainResolution::Unresolved,
-            },
-        );
-    }
-
-    Ok(TimelockRun {
-        outcome: DealOutcome {
-            protocol: ProtocolKind::Timelock,
-            initial_holdings,
-            final_holdings,
-            resolutions,
-            metrics,
-            delta: opts.delta,
-        },
-        contracts,
-        validated,
-    })
+    let ext = ProtocolExt::Timelock { validated };
+    Ok(s.finish::<TimelockManager>(world, ProtocolKind::Timelock, opts.delta, contracts, ext))
 }
 
 /// True if every escrow contract has resolved (committed or refunded).
 fn all_resolved(world: &World, contracts: &BTreeMap<ChainId, ContractId>) -> bool {
     contracts.iter().all(|(&chain, &contract)| {
-        world
-            .chain(chain)
-            .ok()
-            .and_then(|c| {
-                c.view(contract, |m: &TimelockManager| m.resolution().is_some())
-                    .ok()
-            })
-            .unwrap_or(false)
+        driver::resolution::<TimelockManager>(world, chain, contract).is_some()
     })
-}
-
-/// The gas usage attributable to the deal so far (convenience used by tests).
-pub fn total_gas(world: &World) -> GasUsage {
-    world.total_gas()
 }
 
 #[cfg(test)]
@@ -605,8 +439,8 @@ mod tests {
     use crate::builders::broker_spec;
     use crate::deal::{Deal, DealRun};
     use crate::engine::Protocol;
-    use crate::party::Deviation;
     use crate::spec::DealSpec;
+    use crate::strategy::strategies;
     use xchain_sim::asset::Asset;
     use xchain_sim::network::NetworkModel;
 
@@ -653,7 +487,10 @@ mod tests {
 
     #[test]
     fn withheld_vote_times_out_and_refunds() {
-        let configs = vec![PartyConfig::deviating(PartyId(2), Deviation::WithholdVote)];
+        let configs = vec![PartyConfig::with_strategy(
+            PartyId(2),
+            strategies::withhold_vote(),
+        )];
         let (run, spec) = run_broker(&configs, &TimelockOptions::default(), 2);
         assert!(run.outcome.aborted_everywhere());
         let bob = spec.parties[1];
@@ -673,7 +510,10 @@ mod tests {
 
     #[test]
     fn crash_before_escrow_leaves_no_compliant_party_worse_off() {
-        let configs = vec![PartyConfig::deviating(PartyId(1), Deviation::RefuseEscrow)];
+        let configs = vec![PartyConfig::with_strategy(
+            PartyId(1),
+            strategies::refuse_escrow(),
+        )];
         let (run, spec) = run_broker(&configs, &TimelockOptions::default(), 3);
         // Bob never escrowed his tickets, so validation fails for Carol/Alice
         // and the deal aborts everywhere.

@@ -1,16 +1,11 @@
-//! The validation phase: each party checks that its incoming assets are
-//! properly escrowed and that the deal information the contracts carry is the
-//! deal it agreed to (Section 4.1).
+//! What validation checks (Section 4.1): each party expects its net incoming
+//! assets to be escrowed for it. The engines check the plan's interned form
+//! of these expectations ([`crate::plan::PartyPlan::expected`]) in their
+//! shared validation phase.
 
-use std::collections::BTreeMap;
+use xchain_sim::asset::AssetBag;
+use xchain_sim::ids::{ChainId, PartyId};
 
-use xchain_contracts::cbc_manager::{CbcDealInfo, CbcManager};
-use xchain_contracts::timelock::{TimelockDealInfo, TimelockManager};
-use xchain_sim::asset::{Asset, AssetBag};
-use xchain_sim::ids::{ChainId, ContractId, PartyId};
-use xchain_sim::world::World;
-
-use crate::plan::PartyPlan;
 use crate::spec::DealSpec;
 
 /// The assets `party` expects to receive on `chain` according to the deal
@@ -35,163 +30,11 @@ pub fn expected_on_chain(spec: &DealSpec, party: PartyId, chain: ChainId) -> Ass
     bag
 }
 
-fn assets_of_bag(bag: &AssetBag) -> Vec<Asset> {
-    let mut assets = Vec::new();
-    for (kind, amount) in bag.fungible_holdings() {
-        if amount > 0 {
-            assets.push(Asset::Fungible {
-                kind: kind.clone(),
-                amount,
-            });
-        }
-    }
-    for (kind, tokens) in bag.non_fungible_holdings() {
-        if !tokens.is_empty() {
-            assets.push(Asset::NonFungible {
-                kind: kind.clone(),
-                tokens: tokens.clone(),
-            });
-        }
-    }
-    assets
-}
-
-/// Validation under the timelock protocol: on every chain where the party has
-/// incoming assets, the escrow contract must carry the agreed deal information
-/// and the party's C-map entry must cover its expected net incoming assets.
-pub fn validate_timelock(
-    world: &World,
-    spec: &DealSpec,
-    info: &TimelockDealInfo,
-    contracts: &BTreeMap<ChainId, ContractId>,
-    party: PartyId,
-) -> bool {
-    for chain in spec.incoming_chains_of(party) {
-        let Some(&contract) = contracts.get(&chain) else {
-            return false;
-        };
-        let Ok(chain_ref) = world.chain(chain) else {
-            return false;
-        };
-        let ok = chain_ref
-            .view(contract, |m: &TimelockManager| {
-                if m.info() != info {
-                    return false;
-                }
-                let expected = expected_on_chain(spec, party, chain);
-                let tentative = m.core().on_commit_of(party);
-                assets_of_bag(&expected)
-                    .iter()
-                    .all(|a| tentative.contains(a))
-            })
-            .unwrap_or(false);
-        if !ok {
-            return false;
-        }
-    }
-    true
-}
-
-/// The shared shape of plan-based validation: for every chain the party has
-/// incoming assets on, look up the escrow contract and ask `check` whether
-/// its state satisfies the party's pre-interned expectation. The per-chain
-/// expected bags were interned once at planning time, so `check` compares
-/// interned bags directly
-/// ([`xchain_contracts::escrow::EscrowCore::on_commit_covers`]) — no kind
-/// name is resolved and no [`AssetBag`] is allocated.
-fn validate_plan_with<M, F>(
-    world: &World,
-    party: &PartyPlan,
-    contracts: &BTreeMap<ChainId, ContractId>,
-    check: F,
-) -> bool
-where
-    M: xchain_sim::contract::Contract,
-    F: Fn(&M, &xchain_sim::intern::InternedBag) -> bool,
-{
-    party
-        .incoming_chains
-        .iter()
-        .zip(&party.expected)
-        .all(|(&chain, expected)| {
-            let Some(&contract) = contracts.get(&chain) else {
-                return false;
-            };
-            let Ok(chain_ref) = world.chain(chain) else {
-                return false;
-            };
-            chain_ref
-                .view(contract, |m: &M| check(m, expected))
-                .unwrap_or(false)
-        })
-}
-
-/// [`validate_timelock`] driven by a pre-resolved [`PartyPlan`] (see
-/// [`validate_plan_with`]).
-pub fn validate_timelock_plan(
-    world: &World,
-    party: &PartyPlan,
-    info: &TimelockDealInfo,
-    contracts: &BTreeMap<ChainId, ContractId>,
-) -> bool {
-    validate_plan_with(world, party, contracts, |m: &TimelockManager, expected| {
-        m.info() == info && m.core().on_commit_covers(party.id, expected)
-    })
-}
-
-/// Validation under the CBC protocol: same checks against the CBC escrow
-/// contracts (deal id, plist, startDeal hash, validator set, and tentative
-/// ownership of the expected incoming assets).
-pub fn validate_cbc(
-    world: &World,
-    spec: &DealSpec,
-    info: &CbcDealInfo,
-    contracts: &BTreeMap<ChainId, ContractId>,
-    party: PartyId,
-) -> bool {
-    for chain in spec.incoming_chains_of(party) {
-        let Some(&contract) = contracts.get(&chain) else {
-            return false;
-        };
-        let Ok(chain_ref) = world.chain(chain) else {
-            return false;
-        };
-        let ok = chain_ref
-            .view(contract, |m: &CbcManager| {
-                if m.info() != info {
-                    return false;
-                }
-                let expected = expected_on_chain(spec, party, chain);
-                let tentative = m.core().on_commit_of(party);
-                assets_of_bag(&expected)
-                    .iter()
-                    .all(|a| tentative.contains(a))
-            })
-            .unwrap_or(false);
-        if !ok {
-            return false;
-        }
-    }
-    true
-}
-
-/// [`validate_cbc`] driven by a pre-resolved [`PartyPlan`] (see
-/// [`validate_plan_with`]).
-pub fn validate_cbc_plan(
-    world: &World,
-    party: &PartyPlan,
-    info: &CbcDealInfo,
-    contracts: &BTreeMap<ChainId, ContractId>,
-) -> bool {
-    validate_plan_with(world, party, contracts, |m: &CbcManager, expected| {
-        m.info() == info && m.core().on_commit_covers(party.id, expected)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builders::broker_spec;
+    use xchain_sim::asset::Asset;
 
     #[test]
     fn expected_on_chain_accounts_for_onward_transfers() {

@@ -1,20 +1,18 @@
 //! Adversary sweeps: strategy generators for the [`crate::sweep::Sweep`]
 //! adversary axis.
 //!
-//! The generators come in two layers. The *legacy* layer enumerates the
-//! classic [`Deviation`] behaviours and deviating-party subsets, so the
-//! safety experiments cover every misbehaviour the paper discusses, for both
-//! protocols. The *strategy* layer speaks the open adversary API
-//! ([`xchain_deals::strategy::Strategy`]): scenarios are labelled with
-//! strategy names (so sweep tables and `experiments -- matrix` read
-//! "sore-loser@party-1", not an enum debug print), the built-in strategies
-//! reproduce each legacy deviation bit-identically, and the catalog includes
-//! the adversaries only expressible under the trait — the sore-loser, the
-//! colluding coalition, and the rational defector.
+//! Every generator speaks the open adversary API
+//! ([`xchain_deals::strategy::Strategy`]). The built-in strategies cover
+//! every misbehaviour the paper discusses, at every party and for every
+//! deviating-party subset the safety experiments need; scenarios are
+//! labelled with strategy names (so sweep tables and `experiments -- matrix`
+//! read "sore-loser@party-1"). The catalog also includes the adversaries that
+//! act on what they observe or share — the sore-loser, the colluding
+//! coalition, and the rational defector.
 
 use std::sync::Arc;
 
-use xchain_deals::party::{Deviation, PartyConfig};
+use xchain_deals::party::PartyConfig;
 use xchain_deals::phases::Phase;
 use xchain_deals::spec::DealSpec;
 use xchain_deals::strategy::{strategies, Strategy};
@@ -23,23 +21,22 @@ use xchain_sim::time::Time;
 
 use crate::sweep::AdversaryScenario;
 
-/// Every single-party deviation strategy exercised by the safety sweep.
-pub fn all_deviations(delta: u64) -> Vec<Deviation> {
+/// Every single-party deviation exercised by the safety sweep, as built-in
+/// strategies: the classic misbehaviours, a crash after each phase before
+/// commit, and an outage of the first 50 ∆.
+pub fn builtin_strategies(delta: u64) -> Vec<Arc<dyn Strategy>> {
     vec![
-        Deviation::RefuseEscrow,
-        Deviation::SkipTransfers,
-        Deviation::WithholdVote,
-        Deviation::NeverForward,
-        Deviation::VoteAbort,
-        Deviation::RejectValidation,
-        Deviation::CrashAfter(Phase::Clearing),
-        Deviation::CrashAfter(Phase::Escrow),
-        Deviation::CrashAfter(Phase::Transfer),
-        Deviation::CrashAfter(Phase::Validation),
-        Deviation::OfflineDuring {
-            from: Time(0),
-            until: Time(delta * 50),
-        },
+        strategies::refuse_escrow(),
+        strategies::skip_transfers(),
+        strategies::withhold_vote(),
+        strategies::never_forward(),
+        strategies::vote_abort(),
+        strategies::reject_validation(),
+        strategies::crash_after(Phase::Clearing),
+        strategies::crash_after(Phase::Escrow),
+        strategies::crash_after(Phase::Transfer),
+        strategies::crash_after(Phase::Validation),
+        strategies::offline_during(Time(0), Time(delta * 50)),
     ]
 }
 
@@ -47,8 +44,8 @@ pub fn all_deviations(delta: u64) -> Vec<Deviation> {
 pub fn single_deviator_configs(spec: &DealSpec, delta: u64) -> Vec<Vec<PartyConfig>> {
     let mut configs = Vec::new();
     for &p in &spec.parties {
-        for d in all_deviations(delta) {
-            configs.push(vec![PartyConfig::deviating(p, d)]);
+        for s in builtin_strategies(delta) {
+            configs.push(vec![PartyConfig::with_strategy(p, s)]);
         }
     }
     configs
@@ -58,35 +55,20 @@ pub fn single_deviator_configs(spec: &DealSpec, delta: u64) -> Vec<Vec<PartyConf
 /// strategy — the paper makes no assumption about how many parties deviate, so
 /// the sweep includes "everyone else is malicious" cases.
 pub fn all_but_one_deviate(spec: &DealSpec, honest: PartyId, delta: u64) -> Vec<Vec<PartyConfig>> {
-    all_deviations(delta)
+    builtin_strategies(delta)
         .into_iter()
-        .map(|d| {
+        .map(|s| {
             spec.parties
                 .iter()
                 .filter(|p| **p != honest)
-                .map(|p| PartyConfig::deviating(*p, d))
+                .map(|p| PartyConfig::with_strategy(*p, s.clone()))
                 .collect()
         })
         .collect()
 }
 
-// ----------------------------------------------------------------------
-// The strategy layer: generators over the open adversary API.
-// ----------------------------------------------------------------------
-
-/// The built-in strategy replacing each legacy deviation, in the
-/// [`all_deviations`] order. Used by the parity tests and by
-/// [`single_strategist_scenarios`].
-pub fn builtin_strategies(delta: u64) -> Vec<Arc<dyn Strategy>> {
-    all_deviations(delta)
-        .into_iter()
-        .map(strategies::from_deviation)
-        .collect()
-}
-
 /// Single-deviator scenarios over the built-in strategies, labelled
-/// `"<strategy name>@<party>"` — the strategy-native counterpart of
-/// [`single_deviator_configs`].
+/// `"<strategy name>@<party>"` — [`single_deviator_configs`] with labels.
 pub fn single_strategist_scenarios(spec: &DealSpec, delta: u64) -> Vec<AdversaryScenario> {
     let mut scenarios = Vec::new();
     for &p in &spec.parties {
@@ -145,7 +127,7 @@ pub fn rational_defector_scenarios(spec: &DealSpec) -> Vec<AdversaryScenario> {
         .collect()
 }
 
-/// The adversaries only expressible under the [`Strategy`] trait, at
+/// The adversaries that act on what they observe or share, at
 /// representative assignments: a sore-loser at every party in turn, one
 /// coalition of the first two parties, and the two rational defectors.
 pub fn novel_strategy_scenarios(spec: &DealSpec) -> Vec<AdversaryScenario> {
@@ -177,10 +159,13 @@ mod tests {
     fn sweeps_cover_every_party_and_strategy() {
         let spec = broker_spec();
         let singles = single_deviator_configs(&spec, 100);
-        assert_eq!(singles.len(), 3 * all_deviations(100).len());
+        assert_eq!(singles.len(), 3 * builtin_strategies(100).len());
         let majority = all_but_one_deviate(&spec, PartyId(0), 100);
-        assert_eq!(majority.len(), all_deviations(100).len());
+        assert_eq!(majority.len(), builtin_strategies(100).len());
         assert!(majority.iter().all(|c| c.len() == 2));
+        let builtins = builtin_strategies(100);
+        assert_eq!(builtins[0].name(), "refuse-escrow");
+        assert_eq!(builtins.last().unwrap().name(), "offline-0..5000");
     }
 
     #[test]
@@ -210,13 +195,5 @@ mod tests {
             .expect("coalition scenario");
         assert_eq!(coalition.len(), 2);
         assert!(Arc::ptr_eq(&coalition[0].strategy, &coalition[1].strategy));
-    }
-
-    #[test]
-    fn builtin_strategies_match_the_deviation_catalog() {
-        let builtins = builtin_strategies(100);
-        assert_eq!(builtins.len(), all_deviations(100).len());
-        assert_eq!(builtins[0].name(), "refuse-escrow");
-        assert_eq!(builtins.last().unwrap().name(), "offline-0..5000");
     }
 }

@@ -440,16 +440,16 @@ fn matrix_strategy_scenarios(spec: &DealSpec) -> Vec<AdversaryScenario> {
 
 /// The protocol × network × strategy matrix: all three engines (timelock,
 /// CBC, HTLC swap) over synchronous and eventually-synchronous networks, on a
-/// deal each engine can express, against the named adversary strategies of
-/// [`matrix_strategy_scenarios`]. Reproduces the paper's synchrony story in
-/// one sweep: the CBC commits under both models when everyone is compliant,
-/// the timelock protocol is only guaranteed to commit under synchrony, and
-/// the swap engine covers the two-party case. Every cell of this sweep is
-/// safe (`protocol_matrix_is_safe_in_every_cell` checks it), but that is a
-/// finding about these cells, not a guarantee off the protocols' timing
-/// models: the HTLC swap assumes synchrony, and on the eventually-synchronous
-/// network other seeds delay a compliant follower's claim past the leader's
-/// timeout, so the follower loses its asset
+/// deal each engine can express, against the all-compliant baseline, a
+/// sore-loser, a coalition and two rational defectors. Reproduces the paper's
+/// synchrony story in one sweep: the CBC commits under both models when
+/// everyone is compliant, the timelock protocol is only guaranteed to commit
+/// under synchrony, and the swap engine covers the two-party case. Every cell
+/// of this sweep is safe (`protocol_matrix_is_safe_in_every_cell` checks it),
+/// but that is a finding about these cells, not a guarantee off the
+/// protocols' timing models: the HTLC swap assumes synchrony, and on the
+/// eventually-synchronous network other seeds delay a compliant follower's
+/// claim past the leader's timeout, so the follower loses its asset
 /// (`htlc_swap_before_gst_can_strand_a_compliant_follower` pins one such
 /// cell).
 pub fn protocol_matrix_experiment() -> (Vec<MatrixRow>, Table) {

@@ -20,7 +20,7 @@ use xchain_deals::engine::{DealEngine, EngineRun, ProtocolExt};
 use xchain_deals::error::DealError;
 use xchain_deals::outcome::{ChainResolution, DealOutcome, ProtocolKind};
 use xchain_deals::party::{config_of, PartyConfig};
-use xchain_deals::phases::{Phase, PhaseMetrics};
+use xchain_deals::phases::{Phase, PhaseClock, PhaseMetrics};
 use xchain_deals::plan::DealPlan;
 use xchain_deals::setup::{self, advance_one_observation};
 use xchain_deals::spec::DealSpec;
@@ -117,9 +117,7 @@ impl DealEngine for SwapEngine {
         let swap = Self::as_swap_spec(spec).ok_or_else(|| {
             DealError::Config("deal is not expressible as a two-party HTLC swap".into())
         })?;
-        setup::check_parties_exist(world, plan)?;
-        setup::check_chains_exist(world, plan)?;
-        setup::apply_offline_windows(world, configs);
+        let initial_holdings = setup::begin(world, plan, configs)?;
 
         // The two legs' interned assets, resolved once at planning time.
         let leader_asset = plan
@@ -138,7 +136,6 @@ impl DealEngine for SwapEngine {
             .clone();
 
         let mut metrics = PhaseMetrics::new();
-        let initial_holdings = world.holdings_by_party(&spec.parties);
         let leader_cfg = config_of(configs, swap.leader);
         let follower_cfg = config_of(configs, swap.follower);
         // Both parties monitor both chains through the deal's shared hub; the
@@ -152,8 +149,7 @@ impl DealEngine for SwapEngine {
         // follower's so the follower always has time to claim after the
         // secret is revealed).
         // --------------------------------------------------------------
-        let clearing_started = world.now();
-        let gas_before = world.total_gas();
+        let clock = PhaseClock::start(Phase::Clearing, world);
         let secret = 0xA11CE ^ world.seed();
         let hashlock = HtlcContract::hash_secret(secret);
         // Funding consumes up to two observation delays (each bounded by ∆)
@@ -184,15 +180,13 @@ impl DealEngine for SwapEngine {
         let mut contracts: BTreeMap<ChainId, ContractId> = BTreeMap::new();
         contracts.insert(swap.leader_chain, leader_htlc);
         contracts.insert(swap.follower_chain, follower_htlc);
-        metrics.add_gas(Phase::Clearing, gas_before.delta_to(&world.total_gas()));
-        metrics.add_duration(Phase::Clearing, world.now() - clearing_started);
+        clock.stop(world, &mut metrics);
 
         // --------------------------------------------------------------
         // Escrow: the leader funds first; the follower funds only after
         // observing the leader's escrow (one observation delay).
         // --------------------------------------------------------------
-        let escrow_started = world.now();
-        let gas_before = world.total_gas();
+        let clock = PhaseClock::start(Phase::Escrow, world);
         let mut leader_funded = false;
         let leader_escrows = {
             let ctx = hub.ctx(world, spec, swap.leader, Phase::Escrow, None);
@@ -225,8 +219,7 @@ impl DealEngine for SwapEngine {
                 .is_ok();
         }
         advance_one_observation(world);
-        metrics.add_gas(Phase::Escrow, gas_before.delta_to(&world.total_gas()));
-        metrics.add_duration(Phase::Escrow, world.now() - escrow_started);
+        clock.stop(world, &mut metrics);
 
         // The swap has no separate transfer or validation phases: the
         // tentative transfer *is* the claim, and validation is the hashlock.
@@ -237,8 +230,7 @@ impl DealEngine for SwapEngine {
         // that withholds its claim plays the same role as one withholding a
         // commit vote in the deal protocols.
         // --------------------------------------------------------------
-        let commit_started = world.now();
-        let gas_before = world.total_gas();
+        let clock = PhaseClock::start(Phase::Commit, world);
         let mut leader_claimed = false;
         let leader_claims = leader_funded && follower_funded && {
             let ctx = hub.ctx(world, spec, swap.leader, Phase::Commit, None);
@@ -292,8 +284,7 @@ impl DealEngine for SwapEngine {
                 );
             }
         }
-        metrics.add_gas(Phase::Commit, gas_before.delta_to(&world.total_gas()));
-        metrics.add_duration(Phase::Commit, world.now() - commit_started);
+        clock.stop(world, &mut metrics);
 
         // --------------------------------------------------------------
         // Collect the outcome in the protocol-agnostic vocabulary.
@@ -340,8 +331,8 @@ impl DealEngine for SwapEngine {
 mod tests {
     use super::*;
     use xchain_deals::builders::{broker_spec, ring_spec};
-    use xchain_deals::party::Deviation;
     use xchain_deals::properties::{check_conservation, check_safety};
+    use xchain_deals::strategy::strategies;
     use xchain_deals::Deal;
     use xchain_sim::asset::Asset;
     use xchain_sim::ids::DealId;
@@ -384,7 +375,10 @@ mod tests {
     #[test]
     fn defecting_follower_costs_nobody_anything() {
         let deal = Deal::new(two_party())
-            .party(PartyConfig::deviating(PartyId(1), Deviation::RefuseEscrow))
+            .party(PartyConfig::with_strategy(
+                PartyId(1),
+                strategies::refuse_escrow(),
+            ))
             .seed(6);
         let run = deal.run(SwapEngine::default()).unwrap();
         assert!(run.outcome.aborted_everywhere());
@@ -399,7 +393,10 @@ mod tests {
     #[test]
     fn withheld_claim_refunds_both_sides() {
         let deal = Deal::new(two_party())
-            .party(PartyConfig::deviating(PartyId(0), Deviation::WithholdVote))
+            .party(PartyConfig::with_strategy(
+                PartyId(0),
+                strategies::withhold_vote(),
+            ))
             .seed(7);
         let run = deal.run(SwapEngine::default()).unwrap();
         assert!(run.outcome.aborted_everywhere());

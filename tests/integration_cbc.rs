@@ -4,9 +4,10 @@
 use xchain_bft::validator::validator_party_id;
 use xchain_deals::builders::{auction_spec, broker_spec, ring_spec};
 use xchain_deals::cbc::CbcOptions;
-use xchain_deals::party::{Deviation, PartyConfig};
+use xchain_deals::party::PartyConfig;
 use xchain_deals::phases::Phase;
 use xchain_deals::properties::{check_safety, check_strong_liveness, check_weak_liveness};
+use xchain_deals::strategy::strategies;
 use xchain_deals::{Deal, Protocol};
 use xchain_sim::ids::{DealId, Owner, PartyId};
 use xchain_sim::network::NetworkModel;
@@ -54,16 +55,16 @@ fn cbc_commits_or_aborts_everywhere_never_mixed() {
     // commits everywhere or aborts everywhere, for any single deviator.
     let spec = ring_spec(DealId(2), 4);
     let deviations = [
-        Deviation::RefuseEscrow,
-        Deviation::SkipTransfers,
-        Deviation::WithholdVote,
-        Deviation::VoteAbort,
-        Deviation::RejectValidation,
-        Deviation::CrashAfter(Phase::Transfer),
+        strategies::refuse_escrow(),
+        strategies::skip_transfers(),
+        strategies::withhold_vote(),
+        strategies::vote_abort(),
+        strategies::reject_validation(),
+        strategies::crash_after(Phase::Transfer),
     ];
     for &p in &spec.parties {
-        for d in deviations {
-            let configs = vec![PartyConfig::deviating(p, d)];
+        for d in &deviations {
+            let configs = vec![PartyConfig::with_strategy(p, d.clone())];
             let run = Deal::new(spec.clone())
                 .network(NetworkModel::synchronous(100))
                 .parties(&configs)

@@ -6,8 +6,9 @@
 
 use xchain_deals::builders::{auction_spec, broker_spec, brokered_chain_spec, ring_spec};
 use xchain_deals::engine::DealEngine;
-use xchain_deals::party::{Deviation, PartyConfig};
+use xchain_deals::party::PartyConfig;
 use xchain_deals::properties::{check_conservation, check_safety, check_weak_liveness};
+use xchain_deals::strategy::strategies;
 use xchain_deals::{Deal, Protocol};
 use xchain_harness::sweep::{standard_engines, Sweep};
 use xchain_sim::ids::DealId;
@@ -36,17 +37,17 @@ fn all_specs() -> Vec<(String, xchain_deals::spec::DealSpec)> {
 /// over a compact but protocol-spanning deviation set.
 fn matrix_adversaries(spec: &xchain_deals::spec::DealSpec) -> Vec<(String, Vec<PartyConfig>)> {
     let deviations = [
-        Deviation::RefuseEscrow,
-        Deviation::WithholdVote,
-        Deviation::VoteAbort,
-        Deviation::RejectValidation,
+        strategies::refuse_escrow(),
+        strategies::withhold_vote(),
+        strategies::vote_abort(),
+        strategies::reject_validation(),
     ];
     let mut scenarios = vec![("all compliant".to_string(), Vec::new())];
     for &p in &spec.parties {
-        for d in deviations {
+        for d in &deviations {
             scenarios.push((
-                format!("{p} deviates with {d:?}"),
-                vec![PartyConfig::deviating(p, d)],
+                format!("{p} deviates with {}", d.name()),
+                vec![PartyConfig::with_strategy(p, d.clone())],
             ));
         }
     }
@@ -112,9 +113,9 @@ fn swap_engine_agrees_with_commit_protocols_on_the_two_party_ring() {
         let run = deal.run(engine).unwrap();
         assert!(run.outcome.committed_everywhere(), "{name} compliant");
 
-        let deal = deal.parties(&[PartyConfig::deviating(
+        let deal = deal.parties(&[PartyConfig::with_strategy(
             xchain_sim::ids::PartyId(1),
-            Deviation::RefuseEscrow,
+            strategies::refuse_escrow(),
         )]);
         let run = deal.run(engine).unwrap();
         assert!(!run.outcome.committed_everywhere(), "{name} deviator");

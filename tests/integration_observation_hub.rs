@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use xchain_contracts::escrow::EscrowManager;
+use xchain_contracts::escrow::{DealEscrow, EscrowManager};
 use xchain_contracts::timelock::{TimelockDealInfo, TimelockManager};
 use xchain_deals::builders::broker_spec;
 use xchain_deals::plan::DealPlan;
@@ -75,7 +75,9 @@ fn hub_views_match_per_party_cursor_views_on_an_adversarial_trace() {
             tickets,
             Owner::Party(bob),
             tl,
-            |m: &mut TimelockManager, c| m.escrow(c, Asset::non_fungible("ticket", [1, 2])),
+            |m: &mut TimelockManager, c| {
+                m.escrow_interned(c, c.intern_asset(&Asset::non_fungible("ticket", [1, 2])))
+            },
         )
         .unwrap();
     check(
@@ -142,7 +144,11 @@ fn hub_views_match_per_party_cursor_views_on_an_adversarial_trace() {
             Owner::Party(bob),
             tl,
             |m: &mut TimelockManager, c| {
-                m.transfer(c, Asset::non_fungible("ticket", [1, 2]), alice)
+                m.transfer_interned(
+                    c,
+                    &c.intern_asset(&Asset::non_fungible("ticket", [1, 2])),
+                    alice,
+                )
             },
         )
         .unwrap();
@@ -153,7 +159,11 @@ fn hub_views_match_per_party_cursor_views_on_an_adversarial_trace() {
             Owner::Party(alice),
             tl,
             |m: &mut TimelockManager, c| {
-                m.transfer(c, Asset::non_fungible("ticket", [1, 2]), carol)
+                m.transfer_interned(
+                    c,
+                    &c.intern_asset(&Asset::non_fungible("ticket", [1, 2])),
+                    carol,
+                )
             },
         )
         .unwrap();

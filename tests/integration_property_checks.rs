@@ -16,13 +16,14 @@ use std::collections::BTreeSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xchain_deals::outcome::{ChainResolution, DealOutcome, ProtocolKind};
-use xchain_deals::party::{config_of, Deviation, PartyConfig};
+use xchain_deals::party::{config_of, PartyConfig};
 use xchain_deals::phases::PhaseMetrics;
 use xchain_deals::properties::{
     check_conservation, check_safety, check_strong_liveness, check_weak_liveness, SafetyReport,
     SafetyViolation,
 };
 use xchain_deals::spec::{DealSpec, EscrowSpec, TransferSpec};
+use xchain_deals::strategy::strategies;
 use xchain_sim::asset::{Asset, AssetBag};
 use xchain_sim::ids::{ChainId, DealId, PartyId};
 use xchain_sim::time::Duration;
@@ -345,8 +346,8 @@ fn random_configs(rng: &mut StdRng, spec: &DealSpec) -> Vec<PartyConfig> {
     let mut configs = Vec::new();
     for &p in &spec.parties {
         match rng.gen_range(0..10u32) {
-            0 | 1 => configs.push(PartyConfig::deviating(p, Deviation::WithholdVote)),
-            2 => configs.push(PartyConfig::deviating(p, Deviation::RefuseEscrow)),
+            0 | 1 => configs.push(PartyConfig::with_strategy(p, strategies::withhold_vote())),
+            2 => configs.push(PartyConfig::with_strategy(p, strategies::refuse_escrow())),
             3 => configs.push(PartyConfig::compliant(p)),
             _ => {}
         }

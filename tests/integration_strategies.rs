@@ -8,7 +8,7 @@
 
 use xchain_bft::log::CbcRecord;
 use xchain_deals::builders::broker_spec;
-use xchain_deals::party::{Deviation, PartyConfig};
+use xchain_deals::party::PartyConfig;
 use xchain_deals::properties::{check_conservation, check_safety, check_weak_liveness};
 use xchain_deals::strategy::strategies;
 use xchain_deals::{Deal, Protocol};
@@ -71,7 +71,7 @@ fn coalition_shares_state_and_aborts_as_a_bloc() {
     let configs = vec![
         PartyConfig::with_strategy(alice, shared.clone()),
         PartyConfig::with_strategy(bob, shared),
-        PartyConfig::deviating(carol, Deviation::RefuseEscrow),
+        PartyConfig::with_strategy(carol, strategies::refuse_escrow()),
     ];
     let deal = Deal::new(spec.clone())
         .network(NetworkModel::synchronous(DELTA))
