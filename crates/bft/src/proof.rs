@@ -253,24 +253,26 @@ mod tests {
 
     #[test]
     fn status_certificate_roundtrip() {
-        let mut cbc = CbcLog::new(2, 9);
-        let (_, h) = cbc
-            .start_deal(Time(0), PartyId(0), DealId(4), parties(3))
-            .unwrap();
-        for p in 0..3 {
-            cbc.vote_commit(Time(p as u64 + 1), DealId(4), h, PartyId(p))
+        for f in [2, 3, 5] {
+            let mut cbc = CbcLog::new(f, 9);
+            let (_, h) = cbc
+                .start_deal(Time(0), PartyId(0), DealId(4), parties(3))
                 .unwrap();
-        }
-        let cert = cbc.status_certificate(Time(5), DealId(4), h).unwrap();
-        assert!(cert.status.is_committed());
-        let dir = directory(&cbc);
-        assert!(cert.verify(&cbc.current_validators(), &dir));
-        assert!(cert.verify(&cbc.initial_validators(), &dir));
+            for p in 0..3 {
+                cbc.vote_commit(Time(p as u64 + 1), DealId(4), h, PartyId(p))
+                    .unwrap();
+            }
+            let cert = cbc.status_certificate(Time(5), DealId(4), h).unwrap();
+            assert!(cert.status.is_committed());
+            let dir = directory(&cbc);
+            assert!(cert.verify(&cbc.current_validators(), &dir), "f = {f}");
+            assert!(cert.verify(&cbc.initial_validators(), &dir), "f = {f}");
 
-        // Tampering with the status breaks verification.
-        let mut forged = cert.clone();
-        forged.status = DealStatus::Aborted { decisive_index: 0 };
-        assert!(!forged.verify(&cbc.current_validators(), &dir));
+            // Tampering with the status breaks verification.
+            let mut forged = cert.clone();
+            forged.status = DealStatus::Aborted { decisive_index: 0 };
+            assert!(!forged.verify(&cbc.current_validators(), &dir), "f = {f}");
+        }
     }
 
     #[test]

@@ -166,27 +166,24 @@ impl DealEscrow for CbcManager {
     }
 
     /// Escrow phase: `escrow(D, plist, h, a, validators)`.
-    fn escrow_interned(&mut self, ctx: &mut CallCtx<'_>, asset: InternedAsset) -> ChainResult<()> {
-        self.core.escrow_interned(ctx, asset)
+    fn escrow(&mut self, ctx: &mut CallCtx<'_>, asset: InternedAsset) -> ChainResult<()> {
+        self.core.escrow(ctx, asset)
     }
 
     /// Transfer phase: `transfer(D, a, a', Q)`.
-    fn transfer_interned(
+    fn transfer(
         &mut self,
         ctx: &mut CallCtx<'_>,
         asset: &InternedAsset,
         to: PartyId,
     ) -> ChainResult<()> {
-        self.core.transfer_interned(ctx, asset, to)
+        self.core.transfer(ctx, asset, to)
     }
 }
 
 impl Contract for CbcManager {
     fn type_name(&self) -> &'static str {
         "cbc-manager"
-    }
-    fn on_install(&mut self, kinds: &xchain_sim::intern::KindTable) {
-        self.core.install(kinds);
     }
     fn as_any(&self) -> &dyn Any {
         self
@@ -250,7 +247,7 @@ mod tests {
                 Owner::Party(carol),
                 fx.contract,
                 |m: &mut CbcManager, ctx| {
-                    m.escrow_interned(ctx, ctx.intern_asset(&Asset::fungible("coin", 101)))
+                    m.escrow(ctx, ctx.kinds().intern_asset(&Asset::fungible("coin", 101)))
                 },
             )
             .unwrap();
@@ -260,9 +257,9 @@ mod tests {
                 Owner::Party(carol),
                 fx.contract,
                 |m: &mut CbcManager, ctx| {
-                    m.transfer_interned(
+                    m.transfer(
                         ctx,
-                        &ctx.intern_asset(&Asset::fungible("coin", 101)),
+                        &ctx.kinds().intern_asset(&Asset::fungible("coin", 101)),
                         alice,
                     )
                 },
@@ -274,7 +271,11 @@ mod tests {
                 Owner::Party(alice),
                 fx.contract,
                 |m: &mut CbcManager, ctx| {
-                    m.transfer_interned(ctx, &ctx.intern_asset(&Asset::fungible("coin", 100)), bob)
+                    m.transfer(
+                        ctx,
+                        &ctx.kinds().intern_asset(&Asset::fungible("coin", 100)),
+                        bob,
+                    )
                 },
             )
             .unwrap();

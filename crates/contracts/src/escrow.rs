@@ -1,4 +1,5 @@
-//! The generic escrow manager: the paper's Section 4 escrow/transfer semantics.
+//! The escrow state every deal contract shares: the paper's Section 4
+//! escrow/transfer semantics.
 //!
 //! Escrow "plays the role of classical concurrency control, ensuring that a
 //! single asset cannot be transferred to different parties at the same time":
@@ -13,15 +14,13 @@
 //! Both commit protocols (timelock and CBC) embed an [`EscrowCore`] and add
 //! their own resolution rules on top.
 
-use std::any::Any;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use xchain_sim::asset::{Asset, AssetBag};
 use xchain_sim::contract::{CallCtx, Contract};
 use xchain_sim::error::ChainResult;
 use xchain_sim::ids::{DealId, PartyId};
-use xchain_sim::intern::{InternedAsset, InternedBag, KindTable};
+use xchain_sim::intern::{InternedAsset, InternedBag};
 
 /// How an escrow ultimately resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,32 +31,18 @@ pub enum EscrowResolution {
     Aborted,
 }
 
-/// One escrow deposit: the A-map entry for an asset.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EscrowDeposit {
-    /// The party that escrowed the asset (refund target on abort).
-    pub original_owner: PartyId,
-    /// The escrowed asset.
-    pub asset: Asset,
-}
-
 /// The escrow state shared by both commit protocols.
 ///
-/// Internally, both the A map (deposits) and the C map (tentative commit
-/// ownership) are kept in interned form ([`InternedAsset`] / [`InternedBag`]):
-/// kind names are resolved to `Copy` [`xchain_sim::intern::KindId`]s once at
-/// deposit time, so the per-call escrow/transfer/release paths never clone a
-/// `String`. The name-keyed views ([`EscrowCore::deposits`],
-/// [`EscrowCore::on_commit_of`], …) resolve ids back through the chain's
-/// [`KindTable`], which the contract receives at install time.
+/// Both the A map (deposits) and the C map (tentative commit ownership) are
+/// kept in interned form ([`InternedAsset`] / [`InternedBag`]): callers
+/// resolve kind names to `Copy` [`xchain_sim::intern::KindId`]s before the
+/// escrow call, so the escrow/transfer/release paths never touch a `String`.
 #[derive(Debug, Clone)]
 pub struct EscrowCore {
     deal: DealId,
     /// Shared with the owning manager's deal info (and, in the engines, with
     /// every chain's escrow), so installing a contract copies no party list.
     plist: Arc<[PartyId]>,
-    /// The hosting chain's kind table (set on install; empty until then).
-    kinds: KindTable,
     /// A map: deposits, refunded to their original owners on abort.
     deposits: Vec<(PartyId, InternedAsset)>,
     /// C map: what each party receives if the deal commits at this chain.
@@ -71,17 +56,10 @@ impl EscrowCore {
         EscrowCore {
             deal,
             plist: plist.into(),
-            kinds: KindTable::new(),
             deposits: Vec::new(),
             on_commit: BTreeMap::new(),
             resolution: None,
         }
-    }
-
-    /// Adopts the hosting chain's kind table. The escrow managers forward
-    /// [`Contract::on_install`] here.
-    pub fn install(&mut self, kinds: &KindTable) {
-        self.kinds = kinds.clone();
     }
 
     /// The deal this escrow belongs to.
@@ -109,33 +87,11 @@ impl EscrowCore {
         self.resolution.is_none()
     }
 
-    /// All deposits made so far (the A map), resolved to named assets.
-    /// Materializes one `EscrowDeposit` (and its resolved kind name) per
-    /// entry — a reporting convenience; hot paths use
-    /// [`EscrowCore::deposits_iter`] instead.
-    pub fn deposits(&self) -> Vec<EscrowDeposit> {
-        self.deposits_iter()
-            .map(|(owner, asset)| EscrowDeposit {
-                original_owner: owner,
-                asset: asset.resolve(&self.kinds),
-            })
-            .collect()
-    }
-
     /// Borrowing iterator over the A map: `(original owner, interned
     /// deposit)` pairs in deposit order, with no resolution and no
-    /// allocation. This is the engine-facing view of the deposits.
+    /// allocation.
     pub fn deposits_iter(&self) -> impl Iterator<Item = (PartyId, &InternedAsset)> {
         self.deposits.iter().map(|(owner, asset)| (*owner, asset))
-    }
-
-    /// What `party` would receive if the deal committed now (the C map),
-    /// resolved to named assets.
-    pub fn on_commit_of(&self, party: PartyId) -> AssetBag {
-        self.on_commit
-            .get(&party)
-            .map(|b| b.resolve(&self.kinds))
-            .unwrap_or_default()
     }
 
     /// True if `party`'s C-map entry covers at least `expected` — the
@@ -148,42 +104,19 @@ impl EscrowCore {
         }
     }
 
-    /// Everything currently held in escrow, summed across deposits.
-    pub fn total_escrowed(&self) -> AssetBag {
-        let mut bag = AssetBag::new();
-        for (_, asset) in self.deposits_iter() {
-            bag.add(&asset.resolve(&self.kinds));
-        }
-        bag
-    }
-
     /// Escrow precondition + postcondition of Section 4:
     /// `Pre: Owns(P, a)` — enforced by the deposit transfer;
     /// `Post: Owns(D, a) ∧ OwnsC(P, a) ∧ OwnsA(P, a)`.
     ///
     /// Gas: 2 storage writes for the deposit transfer plus 1 each for the A
     /// and C map updates — the 4 writes of Figure 3's `escrow`.
-    pub fn escrow(&mut self, ctx: &mut CallCtx<'_>, asset: Asset) -> ChainResult<()> {
-        // Resolve the kind to a Copy id once; everything after is id-keyed.
-        let asset = ctx.intern_asset(&asset);
-        self.escrow_interned(ctx, asset)
-    }
-
-    /// [`EscrowCore::escrow`] for a pre-interned asset: the plan-based
-    /// engines resolve every escrow's kind once per deal (against the table
-    /// the world was built from), so even escrow *entry* touches no
-    /// `String`. Same checks, gas, and log entry as the named path.
-    pub fn escrow_interned(
-        &mut self,
-        ctx: &mut CallCtx<'_>,
-        asset: InternedAsset,
-    ) -> ChainResult<()> {
+    pub fn escrow(&mut self, ctx: &mut CallCtx<'_>, asset: InternedAsset) -> ChainResult<()> {
         let caller = ctx.caller_party()?;
         ctx.require(self.is_active(), "deal already resolved")?;
         ctx.require(self.is_participant(caller), "caller not in plist")?;
         ctx.require(!asset.is_empty(), "cannot escrow an empty asset")?;
         // Pre: Owns(P, a): the deposit fails if the caller does not own it.
-        ctx.deposit_interned_from_caller(&asset)?;
+        ctx.deposit_from_caller(&asset)?;
         let magnitude = asset.magnitude();
         // A map entry (1 write) + C map entry (1 write). Both maps are
         // recorded before the emit below can fail (out of gas), so an abort
@@ -202,18 +135,6 @@ impl EscrowCore {
     /// Gas: 2 storage writes (decrement sender's C entry, increment the
     /// recipient's — Figure 3 lines 15–16).
     pub fn transfer(
-        &mut self,
-        ctx: &mut CallCtx<'_>,
-        asset: Asset,
-        to: PartyId,
-    ) -> ChainResult<()> {
-        let asset = ctx.intern_asset(&asset);
-        self.transfer_interned(ctx, &asset, to)
-    }
-
-    /// [`EscrowCore::transfer`] for a pre-interned asset (same checks, gas,
-    /// and log entry as the named path).
-    pub fn transfer_interned(
         &mut self,
         ctx: &mut CallCtx<'_>,
         asset: &InternedAsset,
@@ -279,7 +200,7 @@ impl EscrowCore {
         ctx.charge_storage_write()?;
         self.resolution = Some(EscrowResolution::Aborted);
         for (owner, asset) in self.deposits_iter() {
-            ctx.pay_out_interned(owner.into(), asset)?;
+            ctx.pay_out(owner.into(), asset)?;
         }
         ctx.emit("escrow-aborted", &[self.deal.0])?;
         Ok(())
@@ -302,13 +223,11 @@ pub trait DealEscrow: Contract {
     /// Read access to the escrow state.
     fn core(&self) -> &EscrowCore;
 
-    /// Escrow phase with a pre-interned asset (see
-    /// [`EscrowCore::escrow_interned`]).
-    fn escrow_interned(&mut self, ctx: &mut CallCtx<'_>, asset: InternedAsset) -> ChainResult<()>;
+    /// Escrow phase (see [`EscrowCore::escrow`]).
+    fn escrow(&mut self, ctx: &mut CallCtx<'_>, asset: InternedAsset) -> ChainResult<()>;
 
-    /// Transfer phase with a pre-interned asset (see
-    /// [`EscrowCore::transfer_interned`]).
-    fn transfer_interned(
+    /// Transfer phase (see [`EscrowCore::transfer`]).
+    fn transfer(
         &mut self,
         ctx: &mut CallCtx<'_>,
         asset: &InternedAsset,
@@ -321,85 +240,59 @@ pub trait DealEscrow: Contract {
     }
 }
 
-/// A bare escrow manager exposing only the Section 4 escrow/transfer
-/// semantics plus explicit commit/abort. It has no commit *protocol* of its
-/// own — the timelock and CBC managers wrap [`EscrowCore`] with one — but it
-/// is useful on its own for unit tests, for the Figure 3 gas measurements and
-/// as the building block of the swap baseline.
-#[derive(Debug, Clone)]
-pub struct EscrowManager {
-    core: EscrowCore,
-}
-
-impl EscrowManager {
-    /// Creates an escrow manager for a deal.
-    pub fn new(deal: DealId, plist: impl Into<Arc<[PartyId]>>) -> Self {
-        EscrowManager {
-            core: EscrowCore::new(deal, plist),
-        }
-    }
-
-    /// Read access to the shared escrow state.
-    pub fn core(&self) -> &EscrowCore {
-        &self.core
-    }
-
-    /// Escrows an asset (see [`EscrowCore::escrow`]).
-    pub fn escrow(&mut self, ctx: &mut CallCtx<'_>, asset: Asset) -> ChainResult<()> {
-        self.core.escrow(ctx, asset)
-    }
-
-    /// Tentatively transfers an escrowed asset (see [`EscrowCore::transfer`]).
-    pub fn transfer(
-        &mut self,
-        ctx: &mut CallCtx<'_>,
-        asset: Asset,
-        to: PartyId,
-    ) -> ChainResult<()> {
-        self.core.transfer(ctx, asset, to)
-    }
-
-    /// Commits unconditionally (test/measurement hook).
-    pub fn force_commit(&mut self, ctx: &mut CallCtx<'_>) -> ChainResult<()> {
-        self.core.distribute_commit(ctx)
-    }
-
-    /// Aborts unconditionally (test/measurement hook).
-    pub fn force_abort(&mut self, ctx: &mut CallCtx<'_>) -> ChainResult<()> {
-        self.core.distribute_abort(ctx)
-    }
-}
-
-impl Contract for EscrowManager {
-    fn type_name(&self) -> &'static str {
-        "escrow-manager"
-    }
-    fn on_install(&mut self, kinds: &KindTable) {
-        self.core.install(kinds);
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::any::Any;
+    use xchain_sim::asset::Asset;
     use xchain_sim::error::ChainError;
-    use xchain_sim::ids::{ChainId, Owner};
+    use xchain_sim::ids::{ChainId, ContractId, Owner};
     use xchain_sim::ledger::Blockchain;
     use xchain_sim::time::{Duration, Time};
 
-    fn setup() -> (
-        Blockchain,
-        xchain_sim::ids::ContractId,
-        PartyId,
-        PartyId,
-        PartyId,
-    ) {
+    /// The Section 4 semantics alone: escrow and transfer through the core,
+    /// plus explicit commit and abort in place of a commit protocol.
+    struct BareEscrow {
+        core: EscrowCore,
+    }
+
+    impl Contract for BareEscrow {
+        fn type_name(&self) -> &'static str {
+            "bare-escrow"
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    type Call = Box<dyn FnOnce(&mut BareEscrow, &mut CallCtx<'_>) -> ChainResult<()>>;
+
+    fn escrow(asset: Asset) -> Call {
+        Box::new(move |m, ctx| {
+            let asset = ctx.kinds().intern_asset(&asset);
+            m.core.escrow(ctx, asset)
+        })
+    }
+
+    fn transfer(asset: Asset, to: PartyId) -> Call {
+        Box::new(move |m, ctx| {
+            let asset = ctx.kinds().intern_asset(&asset);
+            m.core.transfer(ctx, &asset, to)
+        })
+    }
+
+    fn force_commit() -> Call {
+        Box::new(|m, ctx| m.core.distribute_commit(ctx))
+    }
+
+    fn force_abort() -> Call {
+        Box::new(|m, ctx| m.core.distribute_abort(ctx))
+    }
+
+    fn setup() -> (Blockchain, ContractId, PartyId, PartyId, PartyId) {
         let mut chain = Blockchain::new(ChainId(0), "tickets", Duration(1));
         let bob = PartyId(1);
         let alice = PartyId(0);
@@ -410,7 +303,9 @@ mod tests {
         chain
             .mint(Owner::Party(carol), &Asset::fungible("coin", 101))
             .unwrap();
-        let id = chain.install(EscrowManager::new(DealId(7), vec![alice, bob, carol]));
+        let id = chain.install(BareEscrow {
+            core: EscrowCore::new(DealId(7), vec![alice, bob, carol]),
+        });
         (chain, id, alice, bob, carol)
     }
 
@@ -423,20 +318,20 @@ mod tests {
                 Time(0),
                 Owner::Party(bob),
                 id,
-                |m: &mut EscrowManager, ctx| m.escrow(ctx, Asset::non_fungible("ticket", [1, 2])),
+                escrow(Asset::non_fungible("ticket", [1, 2])),
             )
             .unwrap();
         // Escrow contract now owns the tickets.
         assert!(chain
-            .assets()
-            .holds(Owner::Contract(id), &Asset::non_fungible("ticket", [1, 2])));
+            .holdings(Owner::Contract(id))
+            .contains(&Asset::non_fungible("ticket", [1, 2])));
         // A stranger cannot escrow.
         let err = chain
             .call(
                 Time(0),
                 Owner::Party(PartyId(9)),
                 id,
-                |m: &mut EscrowManager, ctx| m.escrow(ctx, Asset::fungible("coin", 1)),
+                escrow(Asset::fungible("coin", 1)),
             )
             .unwrap_err();
         assert!(matches!(err, ChainError::Require(_)));
@@ -446,7 +341,7 @@ mod tests {
                 Time(0),
                 Owner::Party(bob),
                 id,
-                |m: &mut EscrowManager, ctx| m.escrow(ctx, Asset::non_fungible("ticket", [1])),
+                escrow(Asset::non_fungible("ticket", [1])),
             )
             .unwrap_err();
         assert!(matches!(err, ChainError::NotTokenOwner { .. }));
@@ -462,7 +357,7 @@ mod tests {
                 Time(0),
                 Owner::Party(bob),
                 id,
-                |m: &mut EscrowManager, ctx| m.escrow(ctx, Asset::non_fungible("ticket", [1, 2])),
+                escrow(Asset::non_fungible("ticket", [1, 2])),
             )
             .unwrap();
         let after_escrow = chain.gas_usage();
@@ -473,9 +368,7 @@ mod tests {
                 Time(0),
                 Owner::Party(bob),
                 id,
-                |m: &mut EscrowManager, ctx| {
-                    m.transfer(ctx, Asset::non_fungible("ticket", [1, 2]), alice)
-                },
+                transfer(Asset::non_fungible("ticket", [1, 2]), alice),
             )
             .unwrap();
         let after_transfer = chain.gas_usage();
@@ -490,7 +383,7 @@ mod tests {
                 Time(0),
                 Owner::Party(bob),
                 id,
-                |m: &mut EscrowManager, ctx| m.escrow(ctx, Asset::non_fungible("ticket", [1, 2])),
+                escrow(Asset::non_fungible("ticket", [1, 2])),
             )
             .unwrap();
         chain
@@ -498,9 +391,7 @@ mod tests {
                 Time(0),
                 Owner::Party(bob),
                 id,
-                |m: &mut EscrowManager, ctx| {
-                    m.transfer(ctx, Asset::non_fungible("ticket", [1, 2]), alice)
-                },
+                transfer(Asset::non_fungible("ticket", [1, 2]), alice),
             )
             .unwrap();
         chain
@@ -508,22 +399,31 @@ mod tests {
                 Time(0),
                 Owner::Party(alice),
                 id,
-                |m: &mut EscrowManager, ctx| {
-                    m.transfer(ctx, Asset::non_fungible("ticket", [1, 2]), carol)
-                },
+                transfer(Asset::non_fungible("ticket", [1, 2]), carol),
             )
             .unwrap();
-        let (bob_c, carol_c) = chain
-            .view(id, |m: &EscrowManager| {
-                (m.core().on_commit_of(bob), m.core().on_commit_of(carol))
+        let bag = |asset: Asset| {
+            let mut bag = InternedBag::new();
+            bag.add(&chain.kinds().intern_asset(&asset));
+            bag
+        };
+        let (both, one, two) = (
+            bag(Asset::non_fungible("ticket", [1, 2])),
+            bag(Asset::non_fungible("ticket", [1])),
+            bag(Asset::non_fungible("ticket", [2])),
+        );
+        chain
+            .view(id, |m: &BareEscrow| {
+                // Bob's C-map entry holds neither ticket any more.
+                assert!(!m.core.on_commit_covers(bob, &one));
+                assert!(!m.core.on_commit_covers(bob, &two));
+                assert!(m.core.on_commit_covers(carol, &both));
             })
             .unwrap();
-        assert!(bob_c.is_empty());
-        assert!(carol_c.contains(&Asset::non_fungible("ticket", [1, 2])));
         // The chain-level owner is still the contract until resolution.
         assert!(chain
-            .assets()
-            .holds(Owner::Contract(id), &Asset::non_fungible("ticket", [1, 2])));
+            .holdings(Owner::Contract(id))
+            .contains(&Asset::non_fungible("ticket", [1, 2])));
     }
 
     #[test]
@@ -534,7 +434,7 @@ mod tests {
                 Time(0),
                 Owner::Party(carol),
                 id,
-                |m: &mut EscrowManager, ctx| m.escrow(ctx, Asset::fungible("coin", 101)),
+                escrow(Asset::fungible("coin", 101)),
             )
             .unwrap();
         // Bob has escrowed nothing here; he cannot move Carol's coins.
@@ -543,7 +443,7 @@ mod tests {
                 Time(0),
                 Owner::Party(bob),
                 id,
-                |m: &mut EscrowManager, ctx| m.transfer(ctx, Asset::fungible("coin", 50), alice),
+                transfer(Asset::fungible("coin", 50), alice),
             )
             .unwrap_err();
         assert!(matches!(err, ChainError::Require(_)));
@@ -553,7 +453,7 @@ mod tests {
                 Time(0),
                 Owner::Party(carol),
                 id,
-                |m: &mut EscrowManager, ctx| m.transfer(ctx, Asset::fungible("coin", 102), alice),
+                transfer(Asset::fungible("coin", 102), alice),
             )
             .unwrap_err();
         assert!(matches!(err, ChainError::Require(_)));
@@ -563,37 +463,15 @@ mod tests {
     fn commit_pays_c_map_and_abort_refunds_a_map() {
         // Commit path.
         let (mut chain, id, alice, bob, carol) = setup();
+        for (caller, call) in [
+            (carol, escrow(Asset::fungible("coin", 101))),
+            (carol, transfer(Asset::fungible("coin", 101), alice)),
+            (alice, transfer(Asset::fungible("coin", 100), bob)),
+        ] {
+            chain.call(Time(0), Owner::Party(caller), id, call).unwrap();
+        }
         chain
-            .call(
-                Time(0),
-                Owner::Party(carol),
-                id,
-                |m: &mut EscrowManager, ctx| m.escrow(ctx, Asset::fungible("coin", 101)),
-            )
-            .unwrap();
-        chain
-            .call(
-                Time(0),
-                Owner::Party(carol),
-                id,
-                |m: &mut EscrowManager, ctx| m.transfer(ctx, Asset::fungible("coin", 101), alice),
-            )
-            .unwrap();
-        chain
-            .call(
-                Time(0),
-                Owner::Party(alice),
-                id,
-                |m: &mut EscrowManager, ctx| m.transfer(ctx, Asset::fungible("coin", 100), bob),
-            )
-            .unwrap();
-        chain
-            .call(
-                Time(1),
-                Owner::Party(alice),
-                id,
-                |m: &mut EscrowManager, ctx| m.force_commit(ctx),
-            )
+            .call(Time(1), Owner::Party(alice), id, force_commit())
             .unwrap();
         assert_eq!(
             chain.assets().balance(Owner::Party(bob), &"coin".into()),
@@ -610,29 +488,14 @@ mod tests {
 
         // Abort path on a fresh chain.
         let (mut chain, id, alice, _bob, carol) = setup();
+        for call in [
+            escrow(Asset::fungible("coin", 101)),
+            transfer(Asset::fungible("coin", 101), alice),
+        ] {
+            chain.call(Time(0), Owner::Party(carol), id, call).unwrap();
+        }
         chain
-            .call(
-                Time(0),
-                Owner::Party(carol),
-                id,
-                |m: &mut EscrowManager, ctx| m.escrow(ctx, Asset::fungible("coin", 101)),
-            )
-            .unwrap();
-        chain
-            .call(
-                Time(0),
-                Owner::Party(carol),
-                id,
-                |m: &mut EscrowManager, ctx| m.transfer(ctx, Asset::fungible("coin", 101), alice),
-            )
-            .unwrap();
-        chain
-            .call(
-                Time(1),
-                Owner::Party(carol),
-                id,
-                |m: &mut EscrowManager, ctx| m.force_abort(ctx),
-            )
+            .call(Time(1), Owner::Party(carol), id, force_abort())
             .unwrap();
         // Despite the tentative transfer, the abort refunds the original owner.
         assert_eq!(
@@ -653,98 +516,27 @@ mod tests {
                 Time(0),
                 Owner::Party(bob),
                 id,
-                |m: &mut EscrowManager, ctx| m.escrow(ctx, Asset::non_fungible("ticket", [1])),
+                escrow(Asset::non_fungible("ticket", [1])),
             )
             .unwrap();
         chain
-            .call(
-                Time(1),
-                Owner::Party(bob),
-                id,
-                |m: &mut EscrowManager, ctx| m.force_abort(ctx),
-            )
+            .call(Time(1), Owner::Party(bob), id, force_abort())
             .unwrap();
         // No further escrow, transfer, or second resolution.
-        for result in [
-            chain.call(
-                Time(2),
-                Owner::Party(bob),
-                id,
-                |m: &mut EscrowManager, ctx| m.escrow(ctx, Asset::non_fungible("ticket", [2])),
-            ),
-            chain.call(
-                Time(2),
-                Owner::Party(bob),
-                id,
-                |m: &mut EscrowManager, ctx| m.force_commit(ctx),
-            ),
-            chain.call(
-                Time(2),
-                Owner::Party(bob),
-                id,
-                |m: &mut EscrowManager, ctx| m.force_abort(ctx),
-            ),
+        for call in [
+            escrow(Asset::non_fungible("ticket", [2])),
+            force_commit(),
+            force_abort(),
         ] {
+            let result = chain.call(Time(2), Owner::Party(bob), id, call);
             assert!(matches!(result, Err(ChainError::Require(_))));
         }
         assert_eq!(
             chain
-                .view(id, |m: &EscrowManager| m.core().resolution())
+                .view(id, |m: &BareEscrow| m.core.resolution())
                 .unwrap(),
             Some(EscrowResolution::Aborted)
         );
-    }
-
-    #[test]
-    fn interned_entry_points_match_the_named_path() {
-        // Same deal driven twice: once through the named API, once through
-        // the pre-interned API. State, gas, and log entries must agree.
-        let run = |interned: bool| {
-            let (mut chain, id, alice, bob, _carol) = setup();
-            let tickets = Asset::non_fungible("ticket", [1, 2]);
-            let pre = chain.kinds().intern_asset(&tickets);
-            chain
-                .call(
-                    Time(0),
-                    Owner::Party(bob),
-                    id,
-                    |m: &mut EscrowManager, ctx| {
-                        if interned {
-                            m.core.escrow_interned(ctx, pre.clone())
-                        } else {
-                            m.escrow(ctx, tickets.clone())
-                        }
-                    },
-                )
-                .unwrap();
-            chain
-                .call(
-                    Time(1),
-                    Owner::Party(bob),
-                    id,
-                    |m: &mut EscrowManager, ctx| {
-                        if interned {
-                            m.core.transfer_interned(ctx, &pre, alice)
-                        } else {
-                            m.transfer(ctx, tickets.clone(), alice)
-                        }
-                    },
-                )
-                .unwrap();
-            let deposits = chain
-                .view(id, |m: &EscrowManager| m.core().deposits())
-                .unwrap();
-            let c_map = chain
-                .view(id, |m: &EscrowManager| m.core().on_commit_of(alice))
-                .unwrap();
-            (chain.gas_usage(), chain.log().to_vec(), deposits, c_map)
-        };
-        let (gas_named, log_named, dep_named, c_named) = run(false);
-        let (gas_interned, log_interned, dep_interned, c_interned) = run(true);
-        assert_eq!(gas_named, gas_interned);
-        assert_eq!(log_named, log_interned);
-        assert_eq!(dep_named, dep_interned);
-        assert_eq!(c_named, c_interned);
     }
 
     #[test]
@@ -755,7 +547,7 @@ mod tests {
                 Time(0),
                 Owner::Party(carol),
                 id,
-                |m: &mut EscrowManager, ctx| m.escrow(ctx, Asset::fungible("coin", 101)),
+                escrow(Asset::fungible("coin", 101)),
             )
             .unwrap();
         chain
@@ -763,31 +555,27 @@ mod tests {
                 Time(0),
                 Owner::Party(carol),
                 id,
-                |m: &mut EscrowManager, ctx| m.transfer(ctx, Asset::fungible("coin", 60), alice),
+                transfer(Asset::fungible("coin", 60), alice),
             )
             .unwrap();
         let kinds = chain.kinds().clone();
         chain
-            .view(id, |m: &EscrowManager| {
+            .view(id, |m: &BareEscrow| {
                 // The borrowing iterator yields the interned A map directly.
-                let deposits: Vec<_> = m.core().deposits_iter().collect();
+                let deposits: Vec<_> = m.core.deposits_iter().collect();
                 assert_eq!(deposits.len(), 1);
                 assert_eq!(deposits[0].0, carol);
                 assert_eq!(deposits[0].1.resolve(&kinds), Asset::fungible("coin", 101));
-                // … and matches the materialized reporting view.
-                let resolved = m.core().deposits();
-                assert_eq!(resolved[0].original_owner, carol);
-                assert_eq!(resolved[0].asset, Asset::fungible("coin", 101));
 
-                // Interned coverage check mirrors the resolved C map.
+                // Interned coverage check mirrors the C map.
                 let mut expected = InternedBag::new();
                 expected.add(&kinds.intern_asset(&Asset::fungible("coin", 60)));
-                assert!(m.core().on_commit_covers(alice, &expected));
+                assert!(m.core.on_commit_covers(alice, &expected));
                 expected.add(&kinds.intern_asset(&Asset::fungible("coin", 1)));
-                assert!(!m.core().on_commit_covers(alice, &expected));
+                assert!(!m.core.on_commit_covers(alice, &expected));
                 // A party with no C-map entry covers only the empty bag.
-                assert!(m.core().on_commit_covers(PartyId(9), &InternedBag::new()));
-                assert!(!m.core().on_commit_covers(PartyId(9), &expected));
+                assert!(m.core.on_commit_covers(PartyId(9), &InternedBag::new()));
+                assert!(!m.core.on_commit_covers(PartyId(9), &expected));
             })
             .unwrap();
     }
@@ -800,7 +588,7 @@ mod tests {
                 Time(0),
                 Owner::Party(bob),
                 id,
-                |m: &mut EscrowManager, ctx| m.escrow(ctx, Asset::fungible("coin", 0)),
+                escrow(Asset::fungible("coin", 0)),
             )
             .unwrap_err();
         assert!(matches!(err, ChainError::Require(_)));

@@ -3,7 +3,7 @@
 //! The on-chain programs used by cross-chain deals, implemented against the
 //! `xchain-sim` contract runtime:
 //!
-//! * [`escrow`] — the generic escrow manager implementing the Section 4
+//! * [`escrow`] — the escrow state both commit protocols embed: the Section 4
 //!   escrow / tentative-transfer semantics (the C and A ownership maps).
 //! * [`timelock`] — the timelock escrow manager of Section 5 / Figure 5:
 //!   path-signature commit votes with `|p| · ∆` timeouts.
@@ -22,7 +22,7 @@ pub mod timelock;
 pub mod token;
 
 pub use cbc_manager::{CbcDealInfo, CbcManager};
-pub use escrow::{DealEscrow, EscrowCore, EscrowDeposit, EscrowManager, EscrowResolution};
+pub use escrow::{DealEscrow, EscrowCore, EscrowResolution};
 pub use ticket::{Seat, TicketRegistry};
 pub use timelock::{TimelockDealInfo, TimelockManager};
 pub use token::TokenContract;

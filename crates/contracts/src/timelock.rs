@@ -218,27 +218,24 @@ impl DealEscrow for TimelockManager {
     }
 
     /// Escrow phase: `escrow(D, Dinfo, a)`.
-    fn escrow_interned(&mut self, ctx: &mut CallCtx<'_>, asset: InternedAsset) -> ChainResult<()> {
-        self.core.escrow_interned(ctx, asset)
+    fn escrow(&mut self, ctx: &mut CallCtx<'_>, asset: InternedAsset) -> ChainResult<()> {
+        self.core.escrow(ctx, asset)
     }
 
     /// Transfer phase: `transfer(D, a, a', Q)`.
-    fn transfer_interned(
+    fn transfer(
         &mut self,
         ctx: &mut CallCtx<'_>,
         asset: &InternedAsset,
         to: PartyId,
     ) -> ChainResult<()> {
-        self.core.transfer_interned(ctx, asset, to)
+        self.core.transfer(ctx, asset, to)
     }
 }
 
 impl Contract for TimelockManager {
     fn type_name(&self) -> &'static str {
         "timelock-manager"
-    }
-    fn on_install(&mut self, kinds: &xchain_sim::intern::KindTable) {
-        self.core.install(kinds);
     }
     fn as_any(&self) -> &dyn Any {
         self
@@ -310,9 +307,10 @@ mod tests {
                 Owner::Party(bob),
                 fx.contract,
                 |m: &mut TimelockManager, ctx| {
-                    m.escrow_interned(
+                    m.escrow(
                         ctx,
-                        ctx.intern_asset(&Asset::non_fungible("ticket", [1, 2])),
+                        ctx.kinds()
+                            .intern_asset(&Asset::non_fungible("ticket", [1, 2])),
                     )
                 },
             )
@@ -323,9 +321,10 @@ mod tests {
                 Owner::Party(bob),
                 fx.contract,
                 |m: &mut TimelockManager, ctx| {
-                    m.transfer_interned(
+                    m.transfer(
                         ctx,
-                        &ctx.intern_asset(&Asset::non_fungible("ticket", [1, 2])),
+                        &ctx.kinds()
+                            .intern_asset(&Asset::non_fungible("ticket", [1, 2])),
                         alice,
                     )
                 },
@@ -337,9 +336,10 @@ mod tests {
                 Owner::Party(alice),
                 fx.contract,
                 |m: &mut TimelockManager, ctx| {
-                    m.transfer_interned(
+                    m.transfer(
                         ctx,
-                        &ctx.intern_asset(&Asset::non_fungible("ticket", [1, 2])),
+                        &ctx.kinds()
+                            .intern_asset(&Asset::non_fungible("ticket", [1, 2])),
                         carol,
                     )
                 },
@@ -370,8 +370,8 @@ mod tests {
         }
         assert!(fx
             .chain
-            .assets()
-            .holds(Owner::Party(carol), &Asset::non_fungible("ticket", [1, 2])));
+            .holdings(Owner::Party(carol))
+            .contains(&Asset::non_fungible("ticket", [1, 2])));
         assert_eq!(
             fx.chain
                 .view(fx.contract, |m: &TimelockManager| m.resolution())
@@ -551,8 +551,8 @@ mod tests {
             .unwrap();
         assert!(fx
             .chain
-            .assets()
-            .holds(Owner::Party(bob), &Asset::non_fungible("ticket", [1, 2])));
+            .holdings(Owner::Party(bob))
+            .contains(&Asset::non_fungible("ticket", [1, 2])));
         assert_eq!(
             fx.chain
                 .view(fx.contract, |m: &TimelockManager| m.resolution())

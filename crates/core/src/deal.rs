@@ -1,12 +1,10 @@
 //! The fluent deal session builder: the one entry point for executing a deal
 //! under any [`DealEngine`].
 //!
-//! A [`Deal`] bundles everything that used to be hand-threaded through
-//! `world_for_spec` + `run_timelock` / `run_cbc`: the specification, the
-//! network timing model, the parties' behaviour configurations and the world
-//! seed. Calling [`Deal::run`] builds the world (chains, parties, minted
-//! escrow assets) and executes the chosen engine, returning a unified
-//! [`DealRun`].
+//! A [`Deal`] bundles the specification, the network timing model, the
+//! parties' behaviour configurations and the world seed. Calling
+//! [`Deal::run`] builds the world (chains, parties, minted escrow assets)
+//! and executes the chosen engine, returning a unified [`DealRun`].
 //!
 //! ```
 //! use xchain_deals::builders::broker_spec;
@@ -30,7 +28,7 @@ use xchain_sim::ids::{ChainId, ContractId};
 use xchain_sim::network::NetworkModel;
 use xchain_sim::world::World;
 
-use crate::engine::{DealEngine, EngineRun, ProtocolExt};
+use crate::engine::{DealEngine, ProtocolExt};
 use crate::error::DealError;
 use crate::outcome::DealOutcome;
 use crate::party::PartyConfig;
@@ -104,14 +102,6 @@ impl Deal {
         &self.configs
     }
 
-    /// Builds the world this session would run in: every referenced chain and
-    /// party exists and every escrow owner holds its asset. Exposed for
-    /// callers that need to inspect or enrich the world before running
-    /// ([`Deal::run_in`] executes against a caller-supplied world).
-    pub fn build_world(&self) -> Result<World, DealError> {
-        setup::world_for_spec(&self.spec, self.network, self.seed)
-    }
-
     /// The session's resolved [`DealPlan`] (validation, transfer order,
     /// asset interning, per-party tables — all computed once per session and
     /// cached; planning errors are not cached). Callers that share one spec
@@ -164,28 +154,6 @@ impl Deal {
             contracts: run.contracts,
             ext: run.ext,
         })
-    }
-
-    /// Executes the deal in a caller-supplied world (which must already
-    /// contain the referenced chains, parties and escrowed assets). Most
-    /// callers want [`Deal::run`]; this exists for scripted scenarios that
-    /// share one world across several deals. The plan is resolved against
-    /// the *world's* kind table ([`DealPlan::for_table`]), so the interned
-    /// ids are valid whatever table the caller's world uses.
-    pub fn run_in<E: DealEngine>(
-        &self,
-        world: &mut World,
-        engine: E,
-    ) -> Result<EngineRun, DealError> {
-        if !engine.supports(&self.spec) {
-            return Err(DealError::Config(format!(
-                "the {} engine does not support this deal specification",
-                engine.label()
-            )));
-        }
-        let plan = DealPlan::for_table(&self.spec, world.kinds())?;
-        let configs = crate::party::fresh_configs(&self.configs);
-        engine.execute(world, &plan, &configs)
     }
 }
 
@@ -258,17 +226,5 @@ mod tests {
             a.outcome.metrics.total_duration(),
             b.outcome.metrics.total_duration()
         );
-    }
-
-    #[test]
-    fn run_in_uses_the_supplied_world() {
-        let deal = Deal::new(broker_spec()).seed(7);
-        let mut world = deal.build_world().unwrap();
-        let run = deal.run_in(&mut world, Protocol::timelock()).unwrap();
-        assert!(run.outcome.committed_everywhere());
-        // Effects landed in the caller's world.
-        assert!(world
-            .holdings(Owner::Party(PartyId(2)))
-            .contains(&Asset::non_fungible("ticket", [1, 2])));
     }
 }

@@ -186,7 +186,7 @@ mod tests {
 
     #[test]
     fn ring_deals_are_well_formed() {
-        for n in 2..8 {
+        for n in (2..8).chain([10, 100, 500]) {
             let arcs: Vec<(u32, u32)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
             let spec = spec_with_arcs(n, &arcs);
             assert!(is_well_formed(&spec), "ring of {n} should be well-formed");

@@ -86,7 +86,7 @@ impl<'p> Session<'p> {
                 e.chain,
                 Owner::Party(e.owner),
                 contracts[&e.chain],
-                |m: &mut M, ctx| m.escrow_interned(ctx, e.asset.clone()),
+                |m: &mut M, ctx| m.escrow(ctx, e.asset.clone()),
             );
             match result {
                 Ok(()) => {}
@@ -114,7 +114,7 @@ impl<'p> Session<'p> {
                     t.chain,
                     Owner::Party(t.from),
                     contracts[&t.chain],
-                    |m: &mut M, ctx| m.transfer_interned(ctx, &t.asset, t.to),
+                    |m: &mut M, ctx| m.transfer(ctx, &t.asset, t.to),
                 );
             }
             // Sequential transfers: the next sender must observe this one first.
@@ -242,27 +242,35 @@ mod tests {
     use crate::builders::broker_spec;
     use crate::deal::Deal;
     use crate::engine::{DealEngine, Protocol};
-    use crate::setup::world_for_spec;
     use crate::strategy::strategies;
     use xchain_sim::network::NetworkModel;
     use xchain_sim::time::Time;
 
     const BOB: PartyId = PartyId(1);
 
-    /// The broker deal's world, except that Bob was never minted the tickets
+    /// The broker plan's world, except that Bob was never minted the tickets
     /// he must escrow.
-    fn world_without_bobs_tickets(deal: &Deal) -> World {
-        let mut spec = deal.spec().clone();
-        spec.escrows.retain(|e| e.owner != BOB);
-        world_for_spec(&spec, NetworkModel::synchronous(100), 1).unwrap()
+    fn world_without_bobs_tickets(plan: &DealPlan) -> World {
+        let mut world =
+            World::with_network_and_kinds(1, NetworkModel::synchronous(100), plan.kinds().fork());
+        setup::add_chains_and_parties(&mut world, plan.chains(), &plan.spec().parties);
+        for e in plan.escrows().iter().filter(|e| e.owner != BOB) {
+            world
+                .mint_interned(e.chain, Owner::Party(e.owner), &e.asset)
+                .unwrap();
+        }
+        world
     }
 
     #[test]
     fn a_compliant_partys_failed_escrow_is_a_chain_error() {
         let deal = Deal::new(broker_spec());
+        let plan = deal.plan().unwrap();
         for engine in [Protocol::timelock(), Protocol::cbc()] {
-            let mut world = world_without_bobs_tickets(&deal);
-            let err = deal.run_in(&mut world, &engine).unwrap_err();
+            let mut world = world_without_bobs_tickets(&plan);
+            let err = engine
+                .execute(&mut world, &plan, deal.configs())
+                .unwrap_err();
             assert!(
                 matches!(err, DealError::Chain(_)),
                 "{}: {err:?}",
@@ -279,15 +287,15 @@ mod tests {
                 BOB,
                 strategies::skip_transfers(),
             ));
-            let mut world = world_without_bobs_tickets(&deal);
-            let run = deal.run_in(&mut world, &engine).unwrap();
+            let plan = deal.plan().unwrap();
+            let mut world = world_without_bobs_tickets(&plan);
+            let run = engine.execute(&mut world, &plan, deal.configs()).unwrap();
             assert!(run.outcome.aborted_everywhere(), "{}", engine.label());
 
             // Offline: Bob is compliant, but the world has him offline.
-            let deal = Deal::new(broker_spec());
-            let mut world = world_without_bobs_tickets(&deal);
+            let mut world = world_without_bobs_tickets(&plan);
             world.set_offline(BOB, Time(0), Time(1_000_000));
-            let run = deal.run_in(&mut world, &engine).unwrap();
+            let run = engine.execute(&mut world, &plan, &[]).unwrap();
             assert!(!run.outcome.committed_everywhere(), "{}", engine.label());
             assert!(run.outcome.fully_resolved(), "{}", engine.label());
         }

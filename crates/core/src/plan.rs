@@ -17,8 +17,8 @@
 //!   a single time (previously `validate()` + the engine each computed it);
 //! * every escrow and transfer asset is interned into the plan's canonical
 //!   [`KindTable`], producing [`InternedAsset`]s the engines hand straight to
-//!   the contracts' `*_interned` entry points — after planning, **no kind
-//!   name is looked up or cloned anywhere on the deal hot path**;
+//!   the contracts' escrow and transfer entry points — after planning, **no
+//!   kind name is looked up or cloned anywhere on the deal hot path**;
 //! * per-party tables ([`PartyPlan`]) precompute the incoming/outgoing chain
 //!   sets (the timelock vote and forwarding targets) and the per-chain
 //!   *expected net incoming* [`InternedBag`]s that validation compares
@@ -30,8 +30,8 @@
 //! One plan can therefore be shared (it is `Send + Sync`) across many worlds
 //! — the sweep executor in `xchain-harness` resolves one plan per
 //! specification and reuses it for every cell (seed × network × adversary ×
-//! engine) that runs that spec, and `Deal::run_in` resolves the plan against
-//! the *caller's* world table instead, so caller-owned worlds keep working.
+//! engine) that runs that spec. The plan's own table is only ever forked,
+//! never shared with a world, so no world's interning reaches back into it.
 //!
 //! [`transfer order`]: DealSpec::transfer_order
 //! [`EscrowCore::on_commit_covers`]: xchain_contracts::escrow::EscrowCore::on_commit_covers
@@ -114,18 +114,8 @@ impl DealPlan {
     /// table. Worlds meant to execute this plan must be built from it
     /// ([`crate::setup::world_for_plan`]) so the interned ids line up.
     pub fn new(spec: &DealSpec) -> Result<Self, DealError> {
-        Self::resolve(spec.clone(), KindTable::new())
-    }
-
-    /// Resolves a specification against an *existing* kind table (shared,
-    /// not forked): the plan's ids are assigned in — and stay valid for —
-    /// whatever worlds share that table. This is how [`crate::Deal::run_in`]
-    /// plans against a caller-supplied world.
-    pub fn for_table(spec: &DealSpec, kinds: &KindTable) -> Result<Self, DealError> {
-        Self::resolve(spec.clone(), kinds.clone())
-    }
-
-    fn resolve(spec: DealSpec, kinds: KindTable) -> Result<Self, DealError> {
+        let spec = spec.clone();
+        let kinds = KindTable::new();
         spec.validate()?;
         // `validate()` proved an order exists; computing it here fixes it for
         // the lifetime of the plan (engines no longer recompute it per run).

@@ -1,7 +1,7 @@
-//! World setup helpers shared by the protocol engines, tests, examples and the
-//! benchmark harness: create the chains and parties a deal specification
-//! references and mint the assets that parties are supposed to own at the
-//! start.
+//! World setup helpers shared by the protocol engines, the sweeps, tests and
+//! the benchmark: build the world a [`DealPlan`] runs in (the chains and
+//! parties it references, each escrow owner holding its asset), plus the
+//! prologue and time-stepping primitive every engine uses.
 
 use std::collections::BTreeMap;
 
@@ -16,26 +16,10 @@ use crate::party::PartyConfig;
 use crate::plan::DealPlan;
 use crate::spec::DealSpec;
 
-/// Creates a world containing every chain and party the specification
-/// references, with each escrow owner already holding the asset it is supposed
-/// to escrow. Chains are created with a 1-tick block interval so chain time
-/// tracks world time closely; the network model is supplied by the caller.
-pub fn world_for_spec(
-    spec: &DealSpec,
-    network: NetworkModel,
-    seed: u64,
-) -> Result<World, DealError> {
-    let mut world = World::with_network(seed, network);
-    add_chains_and_parties(&mut world, &spec.chains(), &spec.parties);
-    mint_escrow_assets(&mut world, spec)?;
-    Ok(world)
-}
-
-/// The world topology both builders share: one chain per referenced chain id
-/// (1-tick block interval, `chain-{i}` names) and one party per referenced
-/// party id. Kept in one place so plan-based and spec-based worlds can never
-/// drift apart.
-fn add_chains_and_parties(world: &mut World, chains: &[ChainId], parties: &[PartyId]) {
+/// A plan's world topology: one chain per referenced chain id and one party
+/// per referenced party id. Chains get a 1-tick block interval, so chain time
+/// tracks world time closely, and `chain-{i}` names.
+pub(crate) fn add_chains_and_parties(world: &mut World, chains: &[ChainId], parties: &[PartyId]) {
     // Parties first: their keys then go into a directory no chain shares
     // yet, which is written in place instead of copied.
     let max_party = parties.iter().map(|p| p.0).max().unwrap_or(0);
@@ -47,10 +31,12 @@ fn add_chains_and_parties(world: &mut World, chains: &[ChainId], parties: &[Part
     }
 }
 
-/// [`world_for_spec`] for a pre-resolved [`DealPlan`]: the world's kind table
+/// Creates a world containing every chain and party the plan references,
+/// with each escrow owner already holding the asset it is supposed to escrow;
+/// the network model is supplied by the caller. The world's kind table
 /// starts as a [fork] of the plan's canonical table, so every id the plan
 /// assigned is valid on all of this world's chains, and the escrow assets are
-/// minted through the interned fast path (no name resolution during setup).
+/// minted from the plan's interned assets (no name resolution during setup).
 /// This is what [`crate::Deal::run`] and the sweep executor build cells from.
 ///
 /// [fork]: xchain_sim::intern::KindTable::fork
@@ -76,16 +62,6 @@ pub fn advance_one_observation(world: &mut World) {
     let now = world.now();
     let delay = world.network().sample_delay(now, world.rng());
     world.advance_by(delay);
-}
-
-/// Mints each escrow owner's assets on the relevant chains (workload setup).
-pub fn mint_escrow_assets(world: &mut World, spec: &DealSpec) -> Result<(), DealError> {
-    for e in &spec.escrows {
-        world
-            .mint(e.chain, Owner::Party(e.owner), &e.asset)
-            .map_err(DealError::Chain)?;
-    }
-    Ok(())
 }
 
 /// Fails unless every party of the plan exists in the world — a sanity
@@ -213,26 +189,27 @@ mod tests {
     #[test]
     fn world_setup_creates_chains_parties_and_assets() {
         let spec = tiny_spec();
-        let world = world_for_spec(&spec, NetworkModel::synchronous(10), 3).unwrap();
         let plan = DealPlan::new(&spec).unwrap();
+        let world = world_for_plan(&plan, NetworkModel::synchronous(10), 3).unwrap();
         check_parties_exist(&world, &plan).unwrap();
         check_chains_exist(&world, &plan).unwrap();
         assert!(world
             .chain(ChainId(0))
             .unwrap()
-            .assets()
-            .holds(Owner::Party(PartyId(0)), &Asset::fungible("a", 5)));
+            .holdings(Owner::Party(PartyId(0)))
+            .contains(&Asset::fungible("a", 5)));
         assert!(world
             .chain(ChainId(1))
             .unwrap()
-            .assets()
-            .holds(Owner::Party(PartyId(1)), &Asset::fungible("b", 7)));
+            .holdings(Owner::Party(PartyId(1)))
+            .contains(&Asset::fungible("b", 7)));
     }
 
     #[test]
     fn offline_windows_and_party_picking() {
         let spec = tiny_spec();
-        let mut world = world_for_spec(&spec, NetworkModel::synchronous(10), 3).unwrap();
+        let plan = DealPlan::new(&spec).unwrap();
+        let mut world = world_for_plan(&plan, NetworkModel::synchronous(10), 3).unwrap();
         let configs = vec![PartyConfig::with_strategy(
             PartyId(0),
             strategies::offline_during(Time(0), Time(100)),

@@ -1,11 +1,12 @@
 //! The experiments that regenerate the paper's tables and figures.
 //!
-//! Each function returns one or more [`Table`]s whose *shape* is compared
-//! against the paper's claims in EXPERIMENTS.md. Parameters are small enough
-//! to run in seconds; the benches in `xchain-bench` re-run the same code
-//! under measurement. Every experiment goes through the unified
-//! [`Deal`] builder / [`Sweep`] API, so adding a protocol or network model is
-//! a one-line change.
+//! Each function returns one or more [`Table`]s whose *shape* the tier-1
+//! tests compare against the paper's claims (`tests/integration_workloads.rs`);
+//! [`full_report`] renders them all, and `tests/golden/full_report.txt` pins
+//! that text byte for byte. Parameters are small enough to run in seconds;
+//! `dealbench` measures the engines' performance. Every experiment goes
+//! through the unified [`Deal`] builder / [`Sweep`] API, so adding a
+//! protocol or network model is a one-line change.
 
 use xchain_bft::pow::{analytic_success_probability, attack_success_rate, PowAttackParams};
 use xchain_deals::builders::{auction_spec, broker_spec, brokered_chain_spec, ring_spec};

@@ -18,7 +18,7 @@
 //!   [`crate::asset::Asset`] and [`crate::asset::AssetBag`], used by contract
 //!   state so the escrow/release path never touches a `String`.
 //!
-//! Interning happens at the cold boundaries (mint, first escrow of a kind);
+//! Interning happens at the cold boundaries (minting, planning a deal);
 //! everything after is `Copy` ids. Ids are assigned in first-intern order,
 //! which is deterministic for a deterministic setup, so identically-seeded
 //! worlds produce identical ids.

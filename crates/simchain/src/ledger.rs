@@ -26,10 +26,10 @@ use crate::time::{Duration, Time};
 ///
 /// Ownership maps are keyed on interned [`KindId`]s, not kind names: every
 /// per-transaction ledger operation works on `Copy` keys, and name → id
-/// resolution happens by `&str` lookup in the shared [`KindTable`] — the
-/// transfer path never clones a `String`. Interned entry points
-/// ([`AssetLedger::transfer_interned`] and friends) skip even the name lookup
-/// for callers (escrow contracts) that pre-resolved their assets.
+/// resolution happens once, when an asset is minted or interned through the
+/// shared [`KindTable`]. Every state transition after minting
+/// ([`AssetLedger::transfer`], [`AssetLedger::holds`]) takes an
+/// [`InternedAsset`], so it never looks up or clones a kind name.
 #[derive(Debug, Clone, Default)]
 pub struct AssetLedger {
     kinds: KindTable,
@@ -56,11 +56,6 @@ impl AssetLedger {
     /// The kind table this ledger resolves names through.
     pub fn kinds(&self) -> &KindTable {
         &self.kinds
-    }
-
-    /// Interns an asset's kind, returning its id-keyed counterpart.
-    pub fn intern_asset(&self, asset: &Asset) -> InternedAsset {
-        self.kinds.intern_asset(asset)
     }
 
     /// Creates new units of an asset owned by `owner` (test/workload setup;
@@ -126,20 +121,7 @@ impl AssetLedger {
     }
 
     /// True if `owner` holds at least `asset`.
-    pub fn holds(&self, owner: Owner, asset: &Asset) -> bool {
-        match asset {
-            Asset::Fungible { kind, amount } => self.balance(owner, kind) >= *amount,
-            Asset::NonFungible { kind, tokens } => match self.kinds.get(kind.name()) {
-                Some(id) => tokens
-                    .iter()
-                    .all(|t| self.token_owner_id(id, *t) == Some(owner)),
-                None => tokens.is_empty(),
-            },
-        }
-    }
-
-    /// True if `owner` holds at least the pre-interned `asset`.
-    pub fn holds_interned(&self, owner: Owner, asset: &InternedAsset) -> bool {
+    pub fn holds(&self, owner: Owner, asset: &InternedAsset) -> bool {
         match asset {
             InternedAsset::Fungible { kind, amount } => self.balance_id(owner, *kind) >= *amount,
             InternedAsset::NonFungible { kind, tokens } => tokens
@@ -149,41 +131,8 @@ impl AssetLedger {
     }
 
     /// Transfers `asset` from `from` to `to`, failing if `from` does not hold
-    /// it. Resolves the kind by `&str` lookup — no clone on this path.
-    pub fn transfer(&mut self, from: Owner, to: Owner, asset: &Asset) -> ChainResult<()> {
-        match asset {
-            Asset::Fungible { kind, amount } => match self.kinds.get(kind.name()) {
-                Some(id) => self.transfer_fungible(from, to, id, *amount),
-                None if *amount == 0 => Ok(()),
-                None => Err(ChainError::InsufficientBalance {
-                    owner: from,
-                    kind: kind.name().to_string(),
-                    requested: *amount,
-                    available: 0,
-                }),
-            },
-            Asset::NonFungible { kind, tokens } => match self.kinds.get(kind.name()) {
-                Some(id) => self.transfer_tokens(from, to, id, tokens),
-                None => match tokens.iter().next() {
-                    None => Ok(()),
-                    Some(t) => Err(ChainError::NotTokenOwner {
-                        owner: from,
-                        kind: kind.name().to_string(),
-                        token: *t,
-                    }),
-                },
-            },
-        }
-    }
-
-    /// [`AssetLedger::transfer`] for a pre-interned asset: the zero-string
-    /// fast path used by escrow release and HTLC payouts.
-    pub fn transfer_interned(
-        &mut self,
-        from: Owner,
-        to: Owner,
-        asset: &InternedAsset,
-    ) -> ChainResult<()> {
+    /// it.
+    pub fn transfer(&mut self, from: Owner, to: Owner, asset: &InternedAsset) -> ChainResult<()> {
         match asset {
             InternedAsset::Fungible { kind, amount } => {
                 self.transfer_fungible(from, to, *kind, *amount)
@@ -282,18 +231,6 @@ impl AssetLedger {
                 bag.add_token(name, token);
             }
         }
-    }
-
-    /// Total supply of a fungible kind across all owners (conservation checks).
-    pub fn total_supply(&self, kind: &AssetKind) -> u64 {
-        let Some(id) = self.kinds.get(kind.name()) else {
-            return 0;
-        };
-        self.fungible
-            .iter()
-            .filter(|((_, k), _)| *k == id)
-            .map(|(_, v)| *v)
-            .sum()
     }
 
     /// All owners currently holding anything (parties and contracts).
@@ -486,8 +423,7 @@ pub struct LogEntry {
 /// A per-observer position in a chain's log: the index of the first entry the
 /// observer has *not* seen yet. Parties that monitor a chain keep one cursor
 /// per chain and call [`Blockchain::log_from`], which returns only the new
-/// entries and advances the cursor — O(new entries) instead of re-scanning
-/// the whole log with [`Blockchain::log_since`].
+/// entries and advances the cursor, so monitoring costs O(new entries).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LogCursor {
     next: usize,
@@ -678,14 +614,9 @@ impl Blockchain {
         &self.log
     }
 
-    /// Log entries appended at or after `since` (chain time).
-    pub fn log_since(&self, since: Time) -> impl Iterator<Item = &LogEntry> {
-        self.log.iter().filter(move |e| e.time >= since)
-    }
-
     /// Log entries the cursor has not seen yet, advancing the cursor past
-    /// them. Repeated monitoring of a chain is O(new entries) instead of the
-    /// O(whole log) re-scan of [`Blockchain::log_since`].
+    /// them, so repeated monitoring of a chain is O(new entries), not
+    /// O(whole log).
     pub fn log_from(&self, cursor: &mut LogCursor) -> &[LogEntry] {
         let start = cursor.next.min(self.log.len());
         cursor.next = self.log.len();
@@ -776,11 +707,6 @@ impl Blockchain {
             .ok_or(ChainError::ContractTypeMismatch(id))?;
         Ok(f(concrete))
     }
-
-    /// Number of contracts installed on this chain.
-    pub fn contract_count(&self) -> usize {
-        self.contracts.len()
-    }
 }
 
 impl std::fmt::Debug for Blockchain {
@@ -840,19 +766,23 @@ mod tests {
         assert_eq!(l.balance(alice, &"coin".into()), 100);
         assert_eq!(l.token_owner(&"ticket".into(), TokenId(1)), Some(bob));
 
-        l.transfer(alice, bob, &Asset::fungible("coin", 40))
-            .unwrap();
+        let coins = l.kinds().intern_asset(&Asset::fungible("coin", 40));
+        l.transfer(alice, bob, &coins).unwrap();
         assert_eq!(l.balance(alice, &"coin".into()), 60);
         assert_eq!(l.balance(bob, &"coin".into()), 40);
 
-        l.transfer(bob, alice, &Asset::non_fungible("ticket", [1]))
-            .unwrap();
+        let ticket = l.kinds().intern_asset(&Asset::non_fungible("ticket", [1]));
+        l.transfer(bob, alice, &ticket).unwrap();
         assert_eq!(l.token_owner(&"ticket".into(), TokenId(1)), Some(alice));
 
         let holdings = l.holdings(alice);
         assert_eq!(holdings.balance(&"coin".into()), 60);
         assert!(holdings.contains(&Asset::non_fungible("ticket", [1])));
-        assert_eq!(l.total_supply(&"coin".into()), 100);
+        // Transfers conserve the supply.
+        assert_eq!(
+            l.balance(alice, &"coin".into()) + l.balance(bob, &"coin".into()),
+            100
+        );
         assert_eq!(l.owners().len(), 2);
     }
 
@@ -863,12 +793,14 @@ mod tests {
         let bob = Owner::Party(PartyId(1));
         l.mint(alice, &Asset::fungible("coin", 10)).unwrap();
         l.mint(alice, &Asset::non_fungible("ticket", [7])).unwrap();
+        let too_many = l.kinds().intern_asset(&Asset::fungible("coin", 11));
+        let ticket = l.kinds().intern_asset(&Asset::non_fungible("ticket", [7]));
         assert!(matches!(
-            l.transfer(alice, bob, &Asset::fungible("coin", 11)),
+            l.transfer(alice, bob, &too_many),
             Err(ChainError::InsufficientBalance { .. })
         ));
         assert!(matches!(
-            l.transfer(bob, alice, &Asset::non_fungible("ticket", [7])),
+            l.transfer(bob, alice, &ticket),
             Err(ChainError::NotTokenOwner { .. })
         ));
         // failed transfers change nothing
@@ -946,7 +878,6 @@ mod tests {
             Err(ChainError::ContractTypeMismatch(_))
         ));
         // contract survives the failed dispatch
-        assert_eq!(c.contract_count(), 1);
         assert_eq!(c.view(id, |ctr: &Counter| ctr.value).unwrap(), 0);
     }
 
@@ -1010,21 +941,5 @@ mod tests {
         assert!(f.accepts(EventTag::Escrow));
         assert!(!f.accepts(EventTag::EscrowAborted));
         assert!(!LogFilter::none().accepts(EventTag::Escrow));
-    }
-
-    #[test]
-    fn log_since_filters_by_time() {
-        let mut c = chain();
-        let id = c.install(Counter::default());
-        let caller = Owner::Party(PartyId(0));
-        for t in [5u64, 15, 25, 35] {
-            c.call(Time(t), caller, id, |ctr: &mut Counter, ctx| {
-                ctr.bump(ctx, 1)
-            })
-            .unwrap();
-        }
-        assert_eq!(c.log().len(), 4);
-        assert_eq!(c.log_since(Time(20)).count(), 2);
-        assert_eq!(c.log_since(Time(0)).count(), 4);
     }
 }

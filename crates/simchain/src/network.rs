@@ -158,22 +158,6 @@ impl OfflineSchedule {
             .any(|w| w.party == party && t >= w.from && t < w.until)
     }
 
-    /// The earliest time at or after `t` at which `party` is back online.
-    pub fn next_online(&self, party: PartyId, t: Time) -> Time {
-        let mut t = t;
-        // Windows may overlap/chain; iterate until no window covers t.
-        loop {
-            match self
-                .windows
-                .iter()
-                .find(|w| w.party == party && t >= w.from && t < w.until)
-            {
-                Some(w) => t = w.until,
-                None => return t,
-            }
-        }
-    }
-
     /// All configured windows.
     pub fn windows(&self) -> &[OfflineWindow] {
         &self.windows
@@ -245,9 +229,8 @@ mod tests {
         assert!(s.is_offline(PartyId(1), Time(29)));
         assert!(!s.is_offline(PartyId(1), Time(30)));
         assert!(!s.is_offline(PartyId(3), Time(15)));
-        assert_eq!(s.next_online(PartyId(1), Time(15)), Time(30));
-        assert_eq!(s.next_online(PartyId(1), Time(35)), Time(35));
-        assert_eq!(s.next_online(PartyId(2), Time(2)), Time(5));
+        assert!(s.is_offline(PartyId(2), Time(4)));
+        assert!(!s.is_offline(PartyId(2), Time(5)));
         assert_eq!(s.windows().len(), 3);
     }
 }

@@ -229,11 +229,6 @@ impl World {
             .ok_or_else(|| ChainError::Other(format!("unknown party {party}")))
     }
 
-    /// All party ids in creation order.
-    pub fn party_ids(&self) -> Vec<PartyId> {
-        self.parties.keys().copied().collect()
-    }
-
     // ------------------------------------------------------------------
     // Availability / network
     // ------------------------------------------------------------------
@@ -246,26 +241,6 @@ impl World {
     /// True if the party is offline at time `t`.
     pub fn is_offline(&self, party: PartyId, t: Time) -> bool {
         self.offline.is_offline(party, t)
-    }
-
-    /// The earliest time at or after `t` when the party can act again.
-    pub fn next_online(&self, party: PartyId, t: Time) -> Time {
-        self.offline.next_online(party, t)
-    }
-
-    /// Samples the time at which an event occurring at `event_time` becomes
-    /// observable to a party, per the network model (and the party's offline
-    /// windows: an offline party observes only once it is back).
-    pub fn observation_time(&mut self, party: PartyId, event_time: Time) -> Time {
-        let delay = self.network.sample_delay(event_time, &mut self.rng);
-        let visible = event_time + delay;
-        self.offline.next_online(party, visible)
-    }
-
-    /// The worst-case observation latency at time `t` (used to compute
-    /// protocol timeouts in the engines).
-    pub fn worst_case_delay(&self, t: Time) -> Duration {
-        self.network.max_delay_at(t)
     }
 
     /// Mutable access to the world RNG (adversary strategies and workload
@@ -369,15 +344,6 @@ impl World {
             .iter()
             .fold(GasUsage::ZERO, |acc, c| acc + c.gas_usage())
     }
-
-    /// Per-chain gas usage snapshots (used by the experiments to attribute gas
-    /// to phases).
-    pub fn gas_by_chain(&self) -> BTreeMap<ChainId, GasUsage> {
-        self.chains
-            .iter()
-            .map(|c| (c.id(), c.gas_usage()))
-            .collect()
-    }
 }
 
 impl std::fmt::Debug for World {
@@ -402,7 +368,7 @@ mod tests {
         let p1 = w.add_party();
         let c2 = w.add_chain("tickets", Duration(10));
         assert_eq!(w.chain_ids(), vec![c1, c2]);
-        assert_eq!(w.party_ids(), vec![p1]);
+        assert!(w.has_party(p1) && !w.has_party(PartyId(p1.0 + 1)));
         // party key is registered on both chains, including the one created later
         assert!(w.chain(c1).unwrap().keys().public_key_of(p1).is_some());
         assert!(w.chain(c2).unwrap().keys().public_key_of(p1).is_some());
@@ -561,19 +527,6 @@ mod tests {
     }
 
     #[test]
-    fn observation_time_respects_offline_windows() {
-        let mut w = World::with_network(3, NetworkModel::synchronous(10));
-        let _c = w.add_chain("x", Duration(1));
-        let p = w.add_party();
-        w.set_offline(p, Time(0), Time(100));
-        let obs = w.observation_time(p, Time(5));
-        assert!(obs >= Time(100));
-        let q = w.add_party();
-        let obs_q = w.observation_time(q, Time(5));
-        assert!(obs_q > Time(5) && obs_q <= Time(15));
-    }
-
-    #[test]
     fn offline_party_cannot_call() {
         use crate::contract::Contract;
         use std::any::Any;
@@ -611,9 +564,8 @@ mod tests {
     fn same_seed_same_observation_sequence() {
         let sample = |seed: u64| {
             let mut w = World::with_network(seed, NetworkModel::synchronous(100));
-            let p = w.add_party();
             (0..10)
-                .map(|i| w.observation_time(p, Time(i * 10)).ticks())
+                .map(|i| w.network().sample_delay(Time(i * 10), w.rng()).ticks())
                 .collect::<Vec<_>>()
         };
         assert_eq!(sample(5), sample(5));

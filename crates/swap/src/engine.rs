@@ -198,7 +198,7 @@ impl DealEngine for SwapEngine {
                     swap.leader_chain,
                     Owner::Party(swap.leader),
                     leader_htlc,
-                    |h: &mut HtlcContract, ctx| h.fund_interned(ctx, leader_asset.clone()),
+                    |h: &mut HtlcContract, ctx| h.fund(ctx, leader_asset.clone()),
                 )
                 .is_ok();
         }
@@ -214,7 +214,7 @@ impl DealEngine for SwapEngine {
                     swap.follower_chain,
                     Owner::Party(swap.follower),
                     follower_htlc,
-                    |h: &mut HtlcContract, ctx| h.fund_interned(ctx, follower_asset.clone()),
+                    |h: &mut HtlcContract, ctx| h.fund(ctx, follower_asset.clone()),
                 )
                 .is_ok();
         }

@@ -7,7 +7,6 @@
 
 use std::any::Any;
 
-use xchain_sim::asset::Asset;
 use xchain_sim::contract::{CallCtx, Contract};
 use xchain_sim::crypto::{FnvHasher, Hash};
 use xchain_sim::error::ChainResult;
@@ -74,18 +73,7 @@ impl HtlcContract {
     }
 
     /// The depositor funds the contract.
-    pub fn fund(&mut self, ctx: &mut CallCtx<'_>, asset: Asset) -> ChainResult<()> {
-        let asset = ctx.intern_asset(&asset);
-        self.fund_interned(ctx, asset)
-    }
-
-    /// [`HtlcContract::fund`] for a pre-interned asset (plan-based engines;
-    /// same checks, gas, and log entry as the named path).
-    pub fn fund_interned(
-        &mut self,
-        ctx: &mut CallCtx<'_>,
-        asset: InternedAsset,
-    ) -> ChainResult<()> {
+    pub fn fund(&mut self, ctx: &mut CallCtx<'_>, asset: InternedAsset) -> ChainResult<()> {
         ctx.require(
             self.state == HtlcState::Created,
             "already funded or resolved",
@@ -95,7 +83,7 @@ impl HtlcContract {
             "only the depositor can fund",
         )?;
         ctx.require(!asset.is_empty(), "cannot fund with an empty asset")?;
-        ctx.deposit_interned_from_caller(&asset)?;
+        ctx.deposit_from_caller(&asset)?;
         ctx.charge_storage_write()?;
         self.asset = Some(asset);
         self.state = HtlcState::Funded;
@@ -115,7 +103,7 @@ impl HtlcContract {
         ctx.charge_storage_write()?;
         self.state = HtlcState::Claimed;
         let asset = self.asset.as_ref().expect("funded");
-        ctx.pay_out_interned(self.beneficiary.into(), asset)?;
+        ctx.pay_out(self.beneficiary.into(), asset)?;
         ctx.emit("htlc-claimed", &[secret])?;
         Ok(())
     }
@@ -127,7 +115,7 @@ impl HtlcContract {
         ctx.charge_storage_write()?;
         self.state = HtlcState::Refunded;
         let asset = self.asset.as_ref().expect("funded");
-        ctx.pay_out_interned(self.depositor.into(), asset)?;
+        ctx.pay_out(self.depositor.into(), asset)?;
         ctx.emit("htlc-refunded", &[self.hashlock.0])?;
         Ok(())
     }
@@ -148,6 +136,7 @@ impl Contract for HtlcContract {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xchain_sim::asset::Asset;
     use xchain_sim::error::ChainError;
     use xchain_sim::ids::{ChainId, Owner};
     use xchain_sim::ledger::Blockchain;
@@ -178,7 +167,10 @@ mod tests {
                 Time(0),
                 Owner::Party(alice),
                 id,
-                |h: &mut HtlcContract, ctx| h.fund(ctx, Asset::fungible("coin", 50)),
+                |h: &mut HtlcContract, ctx| {
+                    let coins = ctx.kinds().intern_asset(&Asset::fungible("coin", 50));
+                    h.fund(ctx, coins)
+                },
             )
             .unwrap();
         // Wrong secret and wrong caller are rejected.
@@ -232,7 +224,10 @@ mod tests {
                 Time(0),
                 Owner::Party(alice),
                 id,
-                |h: &mut HtlcContract, ctx| h.fund(ctx, Asset::fungible("coin", 50)),
+                |h: &mut HtlcContract, ctx| {
+                    let coins = ctx.kinds().intern_asset(&Asset::fungible("coin", 50));
+                    h.fund(ctx, coins)
+                },
             )
             .unwrap();
         // Too early to refund; too late to claim after the timeout.

@@ -7,12 +7,12 @@
 //! cannot be expressed as swaps because Alice starts with nothing to swap.
 //!
 //! The crate provides a hashed-timelock contract ([`htlc::HtlcContract`]),
-//! a two-party swap driver ([`protocol::run_two_party_swap`]), the
+//! the two-party swap description ([`protocol::SwapSpec`]), the
 //! expressiveness check used by the comparison experiment
-//! ([`limits::expressible_as_swap`]), and — most importantly — the
-//! [`engine::SwapEngine`], which implements `xchain_deals`'s `DealEngine`
-//! trait so the HTLC swap plugs into the same `Deal` builder and sweeps as
-//! the timelock and CBC commit protocols.
+//! ([`limits::expressible_as_swap`]), and the [`engine::SwapEngine`], which
+//! implements `xchain_deals`'s `DealEngine` trait so the HTLC swap plugs into
+//! the same `Deal` builder and sweeps as the timelock and CBC commit
+//! protocols.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -25,4 +25,4 @@ pub mod protocol;
 pub use engine::SwapEngine;
 pub use htlc::{HtlcContract, HtlcState};
 pub use limits::expressible_as_swap;
-pub use protocol::{run_two_party_swap, SwapOutcome, SwapSpec};
+pub use protocol::SwapSpec;

@@ -1,18 +1,13 @@
-//! The two-party atomic swap protocol over HTLCs.
+//! The two-party atomic swap protocol over HTLCs: who swaps what, where.
 //!
-//! The leader picks a secret and publishes an HTLC on its chain with timeout
-//! `2∆`-ish; the follower publishes a matching HTLC locked under the same hash
-//! with a shorter timeout; the leader claims the follower's asset (revealing
-//! the secret), which lets the follower claim the leader's asset.
+//! The leader picks a secret and publishes an HTLC on its chain with the
+//! longer timeout; the follower publishes a matching HTLC locked under the
+//! same hash with a shorter timeout; the leader claims the follower's asset
+//! (revealing the secret), which lets the follower claim the leader's asset.
+//! [`crate::engine::SwapEngine`] drives these steps.
 
 use xchain_sim::asset::Asset;
-use xchain_sim::error::ChainError;
-use xchain_sim::gas::GasUsage;
-use xchain_sim::ids::{ChainId, Owner, PartyId};
-use xchain_sim::time::Duration;
-use xchain_sim::world::World;
-
-use crate::htlc::HtlcContract;
+use xchain_sim::ids::{ChainId, PartyId};
 
 /// A two-party swap: `leader` gives `leader_asset` (on `leader_chain`) for
 /// `follower_asset` (on `follower_chain`) owned by `follower`.
@@ -30,178 +25,4 @@ pub struct SwapSpec {
     pub follower_chain: ChainId,
     /// The follower's outgoing asset.
     pub follower_asset: Asset,
-}
-
-/// The measured result of a swap execution.
-#[derive(Debug, Clone)]
-pub struct SwapOutcome {
-    /// True if both assets changed hands.
-    pub swapped: bool,
-    /// Gas used across both chains.
-    pub gas: GasUsage,
-    /// Simulated duration of the whole swap.
-    pub duration: Duration,
-}
-
-/// Runs a two-party atomic swap. If `follower_defects` is true the follower
-/// never funds its side, and the leader reclaims its escrow after the timeout
-/// (nobody loses assets — the HTLC analogue of the deal safety property).
-pub fn run_two_party_swap(
-    world: &mut World,
-    spec: &SwapSpec,
-    delta: Duration,
-    follower_defects: bool,
-) -> Result<SwapOutcome, ChainError> {
-    let start = world.now();
-    let gas_before = world.total_gas();
-    let secret = 0xA11CE ^ world.seed();
-    let hashlock = HtlcContract::hash_secret(secret);
-    // Standard asymmetric timeouts: the leader's escrow lives longer than the
-    // follower's so the follower always has time to claim after the reveal.
-    let leader_timeout = start + delta.times(4);
-    let follower_timeout = start + delta.times(2);
-
-    let leader_htlc = world
-        .chain_mut(spec.leader_chain)?
-        .install(HtlcContract::new(
-            spec.leader,
-            spec.follower,
-            hashlock,
-            leader_timeout,
-        ));
-    let follower_htlc = world
-        .chain_mut(spec.follower_chain)?
-        .install(HtlcContract::new(
-            spec.follower,
-            spec.leader,
-            hashlock,
-            follower_timeout,
-        ));
-
-    // Leader funds first.
-    world.call(
-        spec.leader_chain,
-        Owner::Party(spec.leader),
-        leader_htlc,
-        |h: &mut HtlcContract, ctx| h.fund(ctx, spec.leader_asset.clone()),
-    )?;
-    advance(world);
-
-    if follower_defects {
-        // Nothing more happens; the leader reclaims after its timeout.
-        world.advance_to(leader_timeout);
-        world.call(
-            spec.leader_chain,
-            Owner::Party(spec.leader),
-            leader_htlc,
-            |h: &mut HtlcContract, ctx| h.refund(ctx),
-        )?;
-        return Ok(SwapOutcome {
-            swapped: false,
-            gas: gas_before.delta_to(&world.total_gas()),
-            duration: world.now() - start,
-        });
-    }
-
-    // Follower funds its side after observing the leader's escrow.
-    world.call(
-        spec.follower_chain,
-        Owner::Party(spec.follower),
-        follower_htlc,
-        |h: &mut HtlcContract, ctx| h.fund(ctx, spec.follower_asset.clone()),
-    )?;
-    advance(world);
-
-    // Leader claims the follower's asset, revealing the secret on-chain.
-    world.call(
-        spec.follower_chain,
-        Owner::Party(spec.leader),
-        follower_htlc,
-        |h: &mut HtlcContract, ctx| h.claim(ctx, secret),
-    )?;
-    advance(world);
-
-    // Follower observes the revealed secret and claims the leader's asset.
-    world.call(
-        spec.leader_chain,
-        Owner::Party(spec.follower),
-        leader_htlc,
-        |h: &mut HtlcContract, ctx| h.claim(ctx, secret),
-    )?;
-
-    Ok(SwapOutcome {
-        swapped: true,
-        gas: gas_before.delta_to(&world.total_gas()),
-        duration: world.now() - start,
-    })
-}
-
-fn advance(world: &mut World) {
-    let now = world.now();
-    let d = world.network().sample_delay(now, world.rng());
-    world.advance_by(d);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use xchain_sim::network::NetworkModel;
-
-    fn setup() -> (World, SwapSpec) {
-        let mut world = World::with_network(5, NetworkModel::synchronous(50));
-        let c0 = world.add_chain("tickets", Duration(1));
-        let c1 = world.add_chain("coins", Duration(1));
-        let bob = world.add_party();
-        let carol = world.add_party();
-        world
-            .mint(c0, Owner::Party(bob), &Asset::non_fungible("ticket", [1]))
-            .unwrap();
-        world
-            .mint(c1, Owner::Party(carol), &Asset::fungible("coin", 100))
-            .unwrap();
-        (
-            world,
-            SwapSpec {
-                leader: bob,
-                follower: carol,
-                leader_chain: c0,
-                leader_asset: Asset::non_fungible("ticket", [1]),
-                follower_chain: c1,
-                follower_asset: Asset::fungible("coin", 100),
-            },
-        )
-    }
-
-    #[test]
-    fn successful_swap_moves_both_assets() {
-        let (mut world, spec) = setup();
-        let out = run_two_party_swap(&mut world, &spec, Duration(50), false).unwrap();
-        assert!(out.swapped);
-        assert!(world
-            .holdings(Owner::Party(spec.follower))
-            .contains(&Asset::non_fungible("ticket", [1])));
-        assert_eq!(
-            world
-                .holdings(Owner::Party(spec.leader))
-                .balance(&"coin".into()),
-            100
-        );
-        assert!(out.gas.storage_writes > 0);
-    }
-
-    #[test]
-    fn defecting_follower_costs_nobody_anything() {
-        let (mut world, spec) = setup();
-        let out = run_two_party_swap(&mut world, &spec, Duration(50), true).unwrap();
-        assert!(!out.swapped);
-        assert!(world
-            .holdings(Owner::Party(spec.leader))
-            .contains(&Asset::non_fungible("ticket", [1])));
-        assert_eq!(
-            world
-                .holdings(Owner::Party(spec.follower))
-                .balance(&"coin".into()),
-            100
-        );
-    }
 }

@@ -154,9 +154,9 @@ fn property_checks_on_a_committed_ring9_outcome_allocate_nothing() {
 fn an_observation_with_no_new_log_entries_allocates_nothing() {
     let deal = Deal::new(ring_spec(DealId(9), 9)).seed(1);
     let plan = deal.plan().unwrap();
-    let mut world = deal.build_world().unwrap();
-    let run = deal.run_in(&mut world, Protocol::timelock()).unwrap();
+    let run = deal.run(Protocol::timelock()).unwrap();
     assert!(run.outcome.committed_everywhere());
+    let world = run.world;
     let spec = deal.spec();
     let mut hub = ObservationHub::new(&plan).expect_votes_per_chain(spec.n_parties());
     for &p in &spec.parties {

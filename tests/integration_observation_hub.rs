@@ -5,19 +5,54 @@
 //! order) to the view its own PR 3 per-party-cursor [`DealObserver`] builds
 //! from the same log. Batching the ingest changes the cost, never the view.
 
+use std::any::Any;
 use std::collections::BTreeMap;
 
-use xchain_contracts::escrow::{DealEscrow, EscrowManager};
+use xchain_contracts::escrow::{DealEscrow, EscrowCore};
 use xchain_contracts::timelock::{TimelockDealInfo, TimelockManager};
 use xchain_deals::builders::broker_spec;
 use xchain_deals::plan::DealPlan;
 use xchain_deals::setup::world_for_plan;
 use xchain_deals::strategy::{DealObserver, ObservationHub};
 use xchain_sim::asset::Asset;
+use xchain_sim::contract::{CallCtx, Contract};
 use xchain_sim::crypto::PathSignature;
+use xchain_sim::error::ChainResult;
 use xchain_sim::ids::{ChainId, Owner, PartyId};
 use xchain_sim::network::NetworkModel;
 use xchain_sim::time::{Duration, Time};
+
+/// A bare escrow contract: the Section 4 escrow/transfer semantics of
+/// [`EscrowCore`], with an explicit abort in place of a commit protocol.
+struct BareEscrow(EscrowCore);
+
+impl BareEscrow {
+    fn escrow(&mut self, c: &mut CallCtx<'_>, asset: Asset) -> ChainResult<()> {
+        let asset = c.kinds().intern_asset(&asset);
+        self.0.escrow(c, asset)
+    }
+
+    fn transfer(&mut self, c: &mut CallCtx<'_>, asset: Asset, to: PartyId) -> ChainResult<()> {
+        let asset = c.kinds().intern_asset(&asset);
+        self.0.transfer(c, &asset, to)
+    }
+
+    fn force_abort(&mut self, c: &mut CallCtx<'_>) -> ChainResult<()> {
+        self.0.distribute_abort(c)
+    }
+}
+
+impl Contract for BareEscrow {
+    fn type_name(&self) -> &'static str {
+        "bare-escrow"
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
 
 /// Asserts that the hub's view of `party` equals a fresh observer-maintained
 /// view, after both refresh from the world.
@@ -59,7 +94,7 @@ fn hub_views_match_per_party_cursor_views_on_an_adversarial_trace() {
     let esc = world
         .chain_mut(coins)
         .unwrap()
-        .install(EscrowManager::new(spec.deal, spec.parties.clone()));
+        .install(BareEscrow(EscrowCore::new(spec.deal, spec.parties.clone())));
 
     let mut hub = ObservationHub::new(&plan);
     let mut observers: BTreeMap<PartyId, DealObserver> = spec
@@ -76,7 +111,11 @@ fn hub_views_match_per_party_cursor_views_on_an_adversarial_trace() {
             Owner::Party(bob),
             tl,
             |m: &mut TimelockManager, c| {
-                m.escrow_interned(c, c.intern_asset(&Asset::non_fungible("ticket", [1, 2])))
+                m.escrow(
+                    c,
+                    c.kinds()
+                        .intern_asset(&Asset::non_fungible("ticket", [1, 2])),
+                )
             },
         )
         .unwrap();
@@ -88,12 +127,9 @@ fn hub_views_match_per_party_cursor_views_on_an_adversarial_trace() {
         "after bob's escrow",
     );
     world
-        .call(
-            coins,
-            Owner::Party(carol),
-            esc,
-            |m: &mut EscrowManager, c| m.escrow(c, Asset::fungible("coin", 101)),
-        )
+        .call(coins, Owner::Party(carol), esc, |m: &mut BareEscrow, c| {
+            m.escrow(c, Asset::fungible("coin", 101))
+        })
         .unwrap();
     check(
         &world,
@@ -117,7 +153,7 @@ fn hub_views_match_per_party_cursor_views_on_an_adversarial_trace() {
             coins,
             Owner::Party(PartyId(9)),
             esc,
-            |m: &mut EscrowManager, c| m.escrow(c, Asset::fungible("coin", 1)),
+            |m: &mut BareEscrow, c| m.escrow(c, Asset::fungible("coin", 1)),
         )
         .is_err());
     check(
@@ -131,12 +167,9 @@ fn hub_views_match_per_party_cursor_views_on_an_adversarial_trace() {
     // --- Tentative transfers interleaved across chains: coins first so the
     // --- later chain-ordered fold differs from arrival order.
     world
-        .call(
-            coins,
-            Owner::Party(carol),
-            esc,
-            |m: &mut EscrowManager, c| m.transfer(c, Asset::fungible("coin", 101), alice),
-        )
+        .call(coins, Owner::Party(carol), esc, |m: &mut BareEscrow, c| {
+            m.transfer(c, Asset::fungible("coin", 101), alice)
+        })
         .unwrap();
     world
         .call(
@@ -144,9 +177,10 @@ fn hub_views_match_per_party_cursor_views_on_an_adversarial_trace() {
             Owner::Party(bob),
             tl,
             |m: &mut TimelockManager, c| {
-                m.transfer_interned(
+                m.transfer(
                     c,
-                    &c.intern_asset(&Asset::non_fungible("ticket", [1, 2])),
+                    &c.kinds()
+                        .intern_asset(&Asset::non_fungible("ticket", [1, 2])),
                     alice,
                 )
             },
@@ -159,9 +193,10 @@ fn hub_views_match_per_party_cursor_views_on_an_adversarial_trace() {
             Owner::Party(alice),
             tl,
             |m: &mut TimelockManager, c| {
-                m.transfer_interned(
+                m.transfer(
                     c,
-                    &c.intern_asset(&Asset::non_fungible("ticket", [1, 2])),
+                    &c.kinds()
+                        .intern_asset(&Asset::non_fungible("ticket", [1, 2])),
                     carol,
                 )
             },
@@ -188,12 +223,9 @@ fn hub_views_match_per_party_cursor_views_on_an_adversarial_trace() {
 
     // --- The coin escrow aborts: a refund on the other chain.
     world
-        .call(
-            coins,
-            Owner::Party(carol),
-            esc,
-            |m: &mut EscrowManager, c| m.force_abort(c),
-        )
+        .call(coins, Owner::Party(carol), esc, |m: &mut BareEscrow, c| {
+            m.force_abort(c)
+        })
         .unwrap();
 
     // --- Final catch-up for everyone, including carol's single big batch.
@@ -238,14 +270,11 @@ fn foreign_entries_are_skipped_identically() {
     let esc = world
         .chain_mut(tickets)
         .unwrap()
-        .install(EscrowManager::new(spec.deal, spec.parties.clone()));
+        .install(BareEscrow(EscrowCore::new(spec.deal, spec.parties.clone())));
     world
-        .call(
-            tickets,
-            Owner::Party(bob),
-            esc,
-            |m: &mut EscrowManager, c| m.escrow(c, Asset::non_fungible("ticket", [1, 2])),
-        )
+        .call(tickets, Owner::Party(bob), esc, |m: &mut BareEscrow, c| {
+            m.escrow(c, Asset::non_fungible("ticket", [1, 2]))
+        })
         .unwrap();
 
     let mut hub = ObservationHub::new(&plan);
