@@ -76,19 +76,20 @@ pub struct StatusCertificate {
 }
 
 impl StatusCertificate {
-    /// The canonical payload the validators sign.
-    pub fn payload_words(deal: DealId, start_hash: Hash, status: &DealStatus) -> Vec<u64> {
+    /// The canonical payload the validators sign (five words, on the
+    /// stack).
+    pub fn payload_words(deal: DealId, start_hash: Hash, status: &DealStatus) -> [u64; 5] {
         let decisive = match status {
             DealStatus::Active => 0,
             DealStatus::Committed { decisive_index } | DealStatus::Aborted { decisive_index } => {
                 *decisive_index
             }
         };
-        vec![0xCE27u64, deal.0, start_hash.0, status.tag(), decisive]
+        [0xCE27u64, deal.0, start_hash.0, status.tag(), decisive]
     }
 
     /// The payload of *this* certificate.
-    pub fn payload(&self) -> Vec<u64> {
+    pub fn payload(&self) -> [u64; 5] {
         Self::payload_words(self.deal, self.start_hash, &self.status)
     }
 
@@ -241,12 +242,10 @@ mod tests {
         (0..n).map(PartyId).collect()
     }
 
+    /// A directory holding the keys of the CBC's current validator set
+    /// only: a past epoch's validators are not in it.
     fn directory(cbc: &CbcLog) -> KeyDirectory {
         let mut dir = KeyDirectory::new();
-        // register all epochs' validators
-        for _info in cbc.epoch_infos() {
-            // epoch sets are not public; re-register via current + initial sets
-        }
         cbc.validators().register_in(&mut dir);
         dir
     }

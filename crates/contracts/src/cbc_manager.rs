@@ -14,7 +14,7 @@ use std::sync::Arc;
 use xchain_bft::proof::{BlockProof, DealStatus, StatusCertificate};
 use xchain_bft::validator::{validator_party_id, ValidatorSetInfo};
 use xchain_sim::contract::{CallCtx, Contract};
-use xchain_sim::crypto::Hash;
+use xchain_sim::crypto::{hash_words, Hash};
 use xchain_sim::error::ChainResult;
 use xchain_sim::ids::{DealId, PartyId};
 use xchain_sim::intern::InternedAsset;
@@ -77,10 +77,12 @@ impl CbcManager {
             "certificate epoch does not match the configured validator set",
         )?;
         // Figure 6 line 6: no duplicate signers.
-        let mut seen = Vec::new();
-        for (vid, _) in &cert.certificate.signatures {
-            ctx.require(!seen.contains(vid), "duplicate validator signature")?;
-            seen.push(*vid);
+        let signatures = &cert.certificate.signatures;
+        for (i, (vid, _)) in signatures.iter().enumerate() {
+            ctx.require(
+                !signatures[..i].iter().any(|(seen, _)| seen == vid),
+                "duplicate validator signature",
+            )?;
         }
         // line 7: only validators vote.
         ctx.require(
@@ -96,8 +98,9 @@ impl CbcManager {
             cert.certificate.signatures.len() >= quorum,
             "fewer than 2f+1 validator signatures",
         )?;
-        // lines 9-11: verify 2f+1 signatures (expensive).
-        let payload = cert.payload();
+        // lines 9-11: verify 2f+1 signatures (expensive). Every signature
+        // is over the same payload, so it is hashed once.
+        let digest = hash_words(&cert.payload());
         for (vid, sig) in cert.certificate.signatures.iter().take(quorum) {
             let Some(pk) = self.info.validators.public_key_of(*vid) else {
                 return ctx.require(false, "validator key missing").map(|_| ());
@@ -108,7 +111,7 @@ impl CbcManager {
                 registered == Some(pk),
                 "validator key not registered on chain",
             )?;
-            let ok = ctx.verify_signature(sig, pk, &payload)?;
+            let ok = ctx.verify_signature_digest(sig, pk, digest)?;
             ctx.require(ok, "invalid validator signature")?;
         }
         // line 12: record and act on the outcome.

@@ -165,32 +165,45 @@ pub(crate) fn drive(
     }
 
     // Proof presentation: for each chain, an online party presents the proof
-    // of the decisive outcome; presentations happen in parallel (≤ ∆).
+    // of the decisive outcome; presentations happen in parallel (≤ ∆), so
+    // every chain gets the same proof. It is extracted at the first
+    // presentation, so a deal nobody is online to present for never asks
+    // the CBC for one.
     if !matches!(status, DealStatus::Active) {
-        let epoch_infos = cbc.epoch_infos().to_vec();
+        let (mut proof, mut cert) = (None, None);
         for (&chain, &contract) in &contracts {
             let Some(presenter) = setup::pick_online_party(world, spec, configs) else {
                 continue;
             };
             if opts.use_block_proofs {
-                let proof = cbc
-                    .block_proof(spec.deal, start_hash)
-                    .map_err(DealError::Cbc)?;
+                let proof = match proof {
+                    Some(ref proof) => proof,
+                    None => proof.insert(
+                        cbc.block_proof(spec.deal, start_hash)
+                            .map_err(DealError::Cbc)?,
+                    ),
+                };
                 let _ = world.call(
                     chain,
                     Owner::Party(presenter),
                     contract,
-                    |m: &mut CbcManager, ctx| m.resolve_with_block_proof(ctx, &proof, &epoch_infos),
+                    |m: &mut CbcManager, ctx| {
+                        m.resolve_with_block_proof(ctx, proof, cbc.epoch_infos())
+                    },
                 );
             } else {
-                let cert = cbc
-                    .status_certificate(world.now(), spec.deal, start_hash)
-                    .map_err(DealError::Cbc)?;
+                let cert = match cert {
+                    Some(ref cert) => cert,
+                    None => cert.insert(
+                        cbc.status_certificate(world.now(), spec.deal, start_hash)
+                            .map_err(DealError::Cbc)?,
+                    ),
+                };
                 let _ = world.call(
                     chain,
                     Owner::Party(presenter),
                     contract,
-                    |m: &mut CbcManager, ctx| m.resolve_with_certificate(ctx, &cert),
+                    |m: &mut CbcManager, ctx| m.resolve_with_certificate(ctx, cert),
                 );
             }
         }

@@ -17,7 +17,7 @@ use crate::error::DealError;
 use crate::outcome::{ChainResolution, DealOutcome, ProtocolKind};
 use crate::party::{configs_by_position, PartyConfig};
 use crate::phases::{Phase, PhaseClock, PhaseMetrics};
-use crate::plan::{DealPlan, PartyPlan};
+use crate::plan::DealPlan;
 use crate::setup::{self, advance_one_observation};
 use crate::strategy::ObservationHub;
 
@@ -128,10 +128,10 @@ impl<'p> Session<'p> {
         // Validation.
         let clock = PhaseClock::start(Phase::Validation, world);
         let mut validated = BTreeMap::new();
-        for (pp, cfg) in plan.parties().iter().zip(&self.cfgs) {
+        for (ix, (pp, cfg)) in plan.parties().iter().zip(&self.cfgs).enumerate() {
             // The mechanical verdict (escrows present, deal info consistent)
             // rides in the context; the strategy decides whether to accept it.
-            let mechanical = validates::<M>(world, pp, info, contracts);
+            let mechanical = validates::<M>(world, plan, ix, info, contracts);
             let ok = {
                 let ctx = self
                     .hub
@@ -217,20 +217,21 @@ pub(crate) fn resolution<M: DealEscrow>(
 /// bag is allocated.
 fn validates<M: DealEscrow>(
     world: &World,
-    party: &PartyPlan,
+    plan: &DealPlan,
+    ix: usize,
     info: &M::Info,
     contracts: &BTreeMap<ChainId, ContractId>,
 ) -> bool {
-    party
-        .incoming_chains
+    let party = plan.parties()[ix].id;
+    plan.incoming_chains(ix)
         .iter()
-        .zip(&party.expected)
+        .zip(plan.expected(ix))
         .all(|(&chain, expected)| {
             let (Some(&contract), Ok(c)) = (contracts.get(&chain), world.chain(chain)) else {
                 return false;
             };
             c.view(contract, |m: &M| {
-                m.info() == info && m.core().on_commit_covers(party.id, expected)
+                m.info() == info && m.core().on_commit_covers(party, expected)
             })
             .unwrap_or(false)
         })

@@ -2,49 +2,49 @@
 //! and the protocol engines.
 //!
 //! A [`DealSpec`] is the *human-facing* description of a deal: asset kinds
-//! are names, per-party chain sets are derived on demand, and the tentative
-//! transfer order is recomputed by whoever asks. That is the right shape for
-//! authoring deals, but the wrong shape for executing them — PR 2 interned
-//! the simulator's ledger so per-transaction paths work on `Copy`
-//! [`KindId`]s, yet every engine still crossed the spec boundary with
-//! `String`-kinded [`Asset`]s (escrow entry, tentative transfers, validation)
-//! and re-derived `incoming_chains_of`/`outgoing_chains_of` (allocating,
-//! sorting Vecs) at every commit round.
+//! are names and per-party chain sets are derived on demand. That is the
+//! right shape for authoring deals, but the wrong shape for executing them.
+//! A [`DealPlan`] resolves the spec once per deal:
 //!
-//! A [`DealPlan`] resolves all of that **exactly once per deal**:
-//!
-//! * the spec is validated and the tentative [`transfer order`] is computed
-//!   a single time (previously `validate()` + the engine each computed it);
-//! * every escrow and transfer asset is interned into the plan's canonical
-//!   [`KindTable`], producing [`InternedAsset`]s the engines hand straight to
-//!   the contracts' escrow and transfer entry points — after planning, **no
-//!   kind name is looked up or cloned anywhere on the deal hot path**;
-//! * per-party tables ([`PartyPlan`]) precompute the incoming/outgoing chain
-//!   sets (the timelock vote and forwarding targets) and the per-chain
-//!   *expected net incoming* [`InternedBag`]s that validation compares
-//!   against the escrow C map via [`EscrowCore::on_commit_covers`].
+//! * the spec's shape is checked ([`DealSpec::validate`] runs the same
+//!   checks, in the same order, with the same errors);
+//! * every escrow and transfer asset is interned, escrows first and then
+//!   transfers in spec order, into an [`Interner`] that is then frozen into
+//!   the plan's [`KindTable`]. The engines hand the resulting
+//!   [`InternedAsset`]s straight to the contracts' escrow and transfer entry
+//!   points, so escrow, transfers and validation never look up or clone a
+//!   kind name (only the holdings snapshots before and after a deal name
+//!   kinds);
+//! * the tentative [transfer order](DealPlan::transfer_order) is searched
+//!   once, over the interned assets: tentative holdings live in one flat
+//!   table of (chain, party, kind) accounts, not in name-keyed bags. This is
+//!   the only ordering search; `validate` calls it too;
+//! * per-party tables ([`PartyPlan`]) locate each party's incoming and
+//!   outgoing chain sets (the timelock vote and forwarding targets) and the
+//!   per-chain *expected net incoming* [`InternedBag`]s that validation
+//!   compares against the escrow C map via [`EscrowCore::on_commit_covers`].
+//!   All parties' lists share three plan-sized tables.
 //!
 //! Kind-id validity is by construction: [`crate::setup::world_for_plan`]
-//! builds each world from a [`KindTable::fork`] of the plan's table, so every
-//! id the plan assigned resolves identically on all of that world's chains.
+//! builds each world from a [`KindTable::fork`] of the plan's table, which
+//! shares the plan's frozen kind names instead of copying them, so every id
+//! the plan assigned resolves identically on all of that world's chains.
 //! One plan can therefore be shared (it is `Send + Sync`) across many worlds
 //! — the sweep executor in `xchain-harness` resolves one plan per
 //! specification and reuses it for every cell (seed × network × adversary ×
-//! engine) that runs that spec. The plan's own table is only ever forked,
-//! never shared with a world, so no world's interning reaches back into it.
+//! engine) that runs that spec. What a world interns itself stays in that
+//! world: the plan's table is only ever forked, never shared with a world.
 //!
-//! [`transfer order`]: DealSpec::transfer_order
 //! [`EscrowCore::on_commit_covers`]: xchain_contracts::escrow::EscrowCore::on_commit_covers
-//! [`KindId`]: xchain_sim::intern::KindId
-//! [`Asset`]: xchain_sim::asset::Asset
 
+use std::ops::Range;
 use std::sync::Arc;
 
-use xchain_sim::ids::{ChainId, PartyId};
-use xchain_sim::intern::{InternedAsset, InternedBag, KindTable};
+use xchain_sim::ids::{ChainId, PartyId, TokenId};
+use xchain_sim::intern::{InternedAsset, InternedBag, Interner, KindId, KindTable};
 
 use crate::error::DealError;
-use crate::spec::{DealSpec, EscrowSpec, TransferSpec};
+use crate::spec::DealSpec;
 
 /// One escrow obligation with its asset pre-interned (parallel to
 /// [`DealSpec::escrows`]).
@@ -76,22 +76,18 @@ pub struct PlannedTransfer {
     pub asset: InternedAsset,
 }
 
-/// Everything one party's protocol actions need, precomputed (parallel to
-/// [`DealSpec::parties`]).
+/// One party of a plan (parallel to [`DealSpec::parties`]). Its chain sets
+/// and expected bags live in the plan's shared tables: read them with
+/// [`DealPlan::incoming_chains`], [`DealPlan::outgoing_chains`] and
+/// [`DealPlan::expected`], passing the party's position.
 #[derive(Debug, Clone)]
 pub struct PartyPlan {
     /// The party.
     pub id: PartyId,
-    /// Chains on which the party has incoming assets (vote targets under the
-    /// timelock protocol) — sorted, deduplicated.
-    pub incoming_chains: Vec<ChainId>,
-    /// Chains on which the party has outgoing assets (what it monitors for
-    /// forwarding) — sorted, deduplicated.
-    pub outgoing_chains: Vec<ChainId>,
-    /// Per incoming chain, the party's expected *net* incoming assets
-    /// (incoming minus onward transfers on the same chain) — what validation
-    /// requires the escrow C map to cover. Parallel to `incoming_chains`.
-    pub expected: Vec<InternedBag>,
+    /// Where its incoming chains (and their expected bags) are.
+    incoming: Range<usize>,
+    /// Where its outgoing chains are.
+    outgoing: Range<usize>,
 }
 
 /// A deal specification resolved for execution: validated once, transfer
@@ -107,6 +103,12 @@ pub struct DealPlan {
     escrows: Vec<PlannedEscrow>,
     transfers: Vec<PlannedTransfer>,
     parties: Vec<PartyPlan>,
+    /// Every party's incoming chains, party after party.
+    incoming_chains: Vec<ChainId>,
+    /// Parallel to `incoming_chains`: the expected net incoming bags.
+    expected: Vec<InternedBag>,
+    /// Every party's outgoing chains, party after party.
+    outgoing_chains: Vec<ChainId>,
 }
 
 impl DealPlan {
@@ -114,77 +116,66 @@ impl DealPlan {
     /// table. Worlds meant to execute this plan must be built from it
     /// ([`crate::setup::world_for_plan`]) so the interned ids line up.
     pub fn new(spec: &DealSpec) -> Result<Self, DealError> {
+        let Resolved {
+            kinds,
+            escrows,
+            transfers,
+            transfer_order,
+        } = Resolved::new(spec)?;
         let spec = spec.clone();
-        let kinds = KindTable::new();
-        spec.validate()?;
-        // `validate()` proved an order exists; computing it here fixes it for
-        // the lifetime of the plan (engines no longer recompute it per run).
-        let transfer_order = spec.transfer_order()?;
-        // `validate()` proved every escrow owner and transfer sender is a
-        // party, so the positions below always exist.
-        let position = |p: PartyId| spec.parties.iter().position(|&q| q == p).unwrap_or(0);
-        // Deterministic id assignment: escrows in spec order, then transfers
-        // in spec order. Identical specs therefore produce identical tables.
-        let escrows: Vec<PlannedEscrow> = spec
-            .escrows
-            .iter()
-            .map(|e: &EscrowSpec| PlannedEscrow {
-                owner: e.owner,
-                owner_ix: position(e.owner),
-                chain: e.chain,
-                asset: kinds.intern_asset(&e.asset),
-            })
-            .collect();
-        let transfers: Vec<PlannedTransfer> = spec
-            .transfers
-            .iter()
-            .map(|t: &TransferSpec| PlannedTransfer {
-                from: t.from,
-                from_ix: position(t.from),
-                to: t.to,
-                chain: t.chain,
-                asset: kinds.intern_asset(&t.asset),
-            })
-            .collect();
-        let chains = spec.chains();
-        let parties = spec
+        let n_transfers = transfers.len();
+        // A transfer adds at most one chain to its receiver's incoming set
+        // and one to its sender's outgoing set.
+        let mut incoming_chains = Vec::with_capacity(n_transfers);
+        let mut outgoing_chains = Vec::with_capacity(n_transfers);
+        let parties: Vec<PartyPlan> = spec
             .parties
             .iter()
-            .map(|&p| {
-                let incoming_chains = spec.incoming_chains_of(p);
-                let expected = incoming_chains
-                    .iter()
-                    .map(|&chain| {
-                        // Net expected incoming on `chain`: add incoming,
-                        // remove onward transfers (mirrors
-                        // `validation::expected_on_chain`).
-                        let mut bag = InternedBag::new();
-                        for t in transfers.iter().filter(|t| t.to == p && t.chain == chain) {
-                            bag.add(&t.asset);
-                        }
-                        for t in transfers.iter().filter(|t| t.from == p && t.chain == chain) {
-                            bag.remove(&t.asset);
-                        }
-                        bag
-                    })
-                    .collect();
-                PartyPlan {
-                    id: p,
-                    incoming_chains,
-                    outgoing_chains: spec.outgoing_chains_of(p),
-                    expected,
-                }
+            .map(|&p| PartyPlan {
+                id: p,
+                incoming: push_chain_set(
+                    &mut incoming_chains,
+                    transfers.iter().filter(|t| t.to == p),
+                ),
+                outgoing: push_chain_set(
+                    &mut outgoing_chains,
+                    transfers.iter().filter(|t| t.from == p),
+                ),
             })
             .collect();
+        let mut expected = Vec::with_capacity(incoming_chains.len());
+        for pp in &parties {
+            for &chain in &incoming_chains[pp.incoming.clone()] {
+                // Net expected incoming on `chain`: add incoming, remove
+                // onward transfers (mirrors `validation::expected_on_chain`).
+                let mut bag = InternedBag::new();
+                for t in transfers
+                    .iter()
+                    .filter(|t| t.to == pp.id && t.chain == chain)
+                {
+                    bag.add(&t.asset);
+                }
+                for t in transfers
+                    .iter()
+                    .filter(|t| t.from == pp.id && t.chain == chain)
+                {
+                    bag.remove(&t.asset);
+                }
+                expected.push(bag);
+            }
+        }
         Ok(DealPlan {
             plist: spec.parties.as_slice().into(),
+            chains: spec.chains(),
             spec,
             kinds,
-            chains,
             transfer_order,
             escrows,
             transfers,
             parties,
+            incoming_chains,
+            expected,
+            outgoing_chains,
         })
     }
 
@@ -205,8 +196,8 @@ impl DealPlan {
         self.chains.binary_search(&chain).ok()
     }
 
-    /// The plan's canonical kind table (fork it to build a world, see
-    /// [`crate::setup::world_for_plan`]).
+    /// The plan's canonical kind table, frozen after planning (fork it to
+    /// build a world, see [`crate::setup::world_for_plan`]).
     pub fn kinds(&self) -> &KindTable {
         &self.kinds
     }
@@ -216,7 +207,11 @@ impl DealPlan {
         &self.chains
     }
 
-    /// The fixed tentative-transfer order: indices into [`DealPlan::transfers`].
+    /// The fixed tentative-transfer order: indices into
+    /// [`DealPlan::transfers`] such that each sender tentatively owns what
+    /// it sends when its turn comes, starting from the escrowed state. Each
+    /// pass over the transfers not yet ordered takes, in spec order, every
+    /// one whose sender owns the asset at that point.
     pub fn transfer_order(&self) -> &[usize] {
         &self.transfer_order
     }
@@ -243,6 +238,206 @@ impl DealPlan {
     pub fn party(&self, id: PartyId) -> Option<&PartyPlan> {
         self.parties.iter().find(|pp| pp.id == id)
     }
+
+    /// Chains on which the party at position `ix` has incoming assets (vote
+    /// targets under the timelock protocol), sorted and deduplicated; empty
+    /// for a position past the last party.
+    pub fn incoming_chains(&self, ix: usize) -> &[ChainId] {
+        self.parties
+            .get(ix)
+            .map_or(&[], |pp| &self.incoming_chains[pp.incoming.clone()])
+    }
+
+    /// Chains on which the party at position `ix` has outgoing assets (what
+    /// it monitors for forwarding), sorted and deduplicated.
+    pub fn outgoing_chains(&self, ix: usize) -> &[ChainId] {
+        self.parties
+            .get(ix)
+            .map_or(&[], |pp| &self.outgoing_chains[pp.outgoing.clone()])
+    }
+
+    /// Per incoming chain of the party at position `ix`, its expected *net*
+    /// incoming assets (incoming minus onward transfers on the same chain):
+    /// what validation requires the escrow C map to cover. Parallel to
+    /// [`DealPlan::incoming_chains`].
+    pub fn expected(&self, ix: usize) -> &[InternedBag] {
+        self.parties
+            .get(ix)
+            .map_or(&[], |pp| &self.expected[pp.incoming.clone()])
+    }
+}
+
+/// Appends the sorted, deduplicated chains of `transfers` to `list` and
+/// returns where they are.
+fn push_chain_set<'t>(
+    list: &mut Vec<ChainId>,
+    transfers: impl Iterator<Item = &'t PlannedTransfer>,
+) -> Range<usize> {
+    let start = list.len();
+    for t in transfers {
+        if !list[start..].contains(&t.chain) {
+            list.push(t.chain);
+        }
+    }
+    list[start..].sort_unstable();
+    start..list.len()
+}
+
+/// What checking a spec yields: its assets interned and its transfers
+/// ordered.
+pub(crate) struct Resolved {
+    kinds: KindTable,
+    escrows: Vec<PlannedEscrow>,
+    transfers: Vec<PlannedTransfer>,
+    transfer_order: Vec<usize>,
+}
+
+impl Resolved {
+    /// Checks the spec's shape, interns its assets (escrows, then transfers,
+    /// in spec order, so identical specs get identical ids) and searches the
+    /// transfer order. [`DealSpec::validate`] is this, with the result
+    /// dropped.
+    pub(crate) fn new(spec: &DealSpec) -> Result<Self, DealError> {
+        spec.check_shape()?;
+        // The shape check proved every escrow owner and transfer endpoint is
+        // a party, so the positions below always exist.
+        let position = |p: PartyId| spec.parties.iter().position(|&q| q == p).unwrap_or(0);
+        let mut names = Interner::with_capacity(spec.escrows.len() + spec.transfers.len());
+        let escrows: Vec<PlannedEscrow> = spec
+            .escrows
+            .iter()
+            .map(|e| PlannedEscrow {
+                owner: e.owner,
+                owner_ix: position(e.owner),
+                chain: e.chain,
+                asset: names.intern_asset(&e.asset),
+            })
+            .collect();
+        let transfers: Vec<PlannedTransfer> = spec
+            .transfers
+            .iter()
+            .map(|t| PlannedTransfer {
+                from: t.from,
+                from_ix: position(t.from),
+                to: t.to,
+                chain: t.chain,
+                asset: names.intern_asset(&t.asset),
+            })
+            .collect();
+        let transfer_order = order_transfers(&escrows, &transfers, |t| position(t.to))?;
+        Ok(Resolved {
+            kinds: KindTable::freeze(names),
+            escrows,
+            transfers,
+            transfer_order,
+        })
+    }
+}
+
+/// The tentative holdings of every (chain, party position, kind) account
+/// the deal touches, during the transfer-order search: each account's
+/// fungible balance, and non-fungible tokens as (account, token) pairs with
+/// set semantics, as in a bag.
+struct Holdings {
+    accounts: Vec<((ChainId, usize, KindId), u64)>,
+    tokens: Vec<(usize, TokenId)>,
+}
+
+impl Holdings {
+    /// The index of the account, opened empty on first use.
+    fn account(&mut self, key: (ChainId, usize, KindId)) -> usize {
+        match self.accounts.iter().position(|(k, _)| *k == key) {
+            Some(ix) => ix,
+            None => {
+                self.accounts.push((key, 0));
+                self.accounts.len() - 1
+            }
+        }
+    }
+
+    fn add(&mut self, account: usize, asset: &InternedAsset) {
+        match asset {
+            InternedAsset::Fungible { amount, .. } => {
+                let held = &mut self.accounts[account].1;
+                *held = held.saturating_add(*amount);
+            }
+            InternedAsset::NonFungible { tokens, .. } => {
+                for &t in tokens {
+                    if !self.tokens.contains(&(account, t)) {
+                        self.tokens.push((account, t));
+                    }
+                }
+            }
+        }
+    }
+
+    fn contains(&self, account: usize, asset: &InternedAsset) -> bool {
+        match asset {
+            InternedAsset::Fungible { amount, .. } => self.accounts[account].1 >= *amount,
+            InternedAsset::NonFungible { tokens, .. } => {
+                tokens.iter().all(|&t| self.tokens.contains(&(account, t)))
+            }
+        }
+    }
+
+    /// Removes an asset the account holds (check with `contains` first).
+    fn remove(&mut self, account: usize, asset: &InternedAsset) {
+        match asset {
+            InternedAsset::Fungible { amount, .. } => self.accounts[account].1 -= amount,
+            InternedAsset::NonFungible { tokens, .. } => self
+                .tokens
+                .retain(|&(a, t)| a != account || !tokens.contains(&t)),
+        }
+    }
+}
+
+/// The one transfer-order search: starting from the escrowed holdings,
+/// repeatedly passes over the transfers not yet ordered, in spec order, and
+/// takes every one whose sender tentatively owns the asset at that point.
+/// Fails if a pass takes nothing (some sender never owns what it sends).
+fn order_transfers(
+    escrows: &[PlannedEscrow],
+    transfers: &[PlannedTransfer],
+    to_ix: impl Fn(&PlannedTransfer) -> usize,
+) -> Result<Vec<usize>, DealError> {
+    let mut held = Holdings {
+        accounts: Vec::with_capacity(escrows.len() + 2 * transfers.len()),
+        tokens: Vec::new(),
+    };
+    for e in escrows {
+        let account = held.account((e.chain, e.owner_ix, e.asset.kind()));
+        held.add(account, &e.asset);
+    }
+    // Per transfer, its (sender, receiver) accounts; `None` once ordered.
+    let mut pending: Vec<Option<(usize, usize)>> = transfers
+        .iter()
+        .map(|t| {
+            let kind = t.asset.kind();
+            Some((
+                held.account((t.chain, t.from_ix, kind)),
+                held.account((t.chain, to_ix(t), kind)),
+            ))
+        })
+        .collect();
+    let mut order = Vec::with_capacity(transfers.len());
+    while order.len() < transfers.len() {
+        let before = order.len();
+        for (idx, (slot, t)) in pending.iter_mut().zip(transfers).enumerate() {
+            let Some((from, to)) = *slot else { continue };
+            if held.contains(from, &t.asset) {
+                held.remove(from, &t.asset);
+                held.add(to, &t.asset);
+                order.push(idx);
+                *slot = None;
+            }
+        }
+        if order.len() == before {
+            return Err(DealError::InvalidSpec(
+                "transfers cannot be ordered: some sender never owns what it sends".into(),
+            ));
+        }
+    }
+    Ok(order)
 }
 
 #[cfg(test)]
@@ -258,7 +453,7 @@ mod tests {
         let plan = DealPlan::new(&spec).unwrap();
         assert_eq!(plan.spec(), &spec);
         assert_eq!(plan.chains(), &spec.chains()[..]);
-        assert_eq!(plan.transfer_order(), &spec.transfer_order().unwrap()[..]);
+        assert_eq!(plan.transfer_order(), &[0, 1, 2, 3]);
         assert_eq!(plan.escrows().len(), spec.escrows.len());
         assert_eq!(plan.transfers().len(), spec.transfers.len());
         assert_eq!(&plan.plist()[..], &spec.parties[..]);
@@ -272,14 +467,18 @@ mod tests {
             assert_eq!(plan.chain_index(c), Some(ix));
         }
         assert_eq!(plan.chain_index(ChainId(99)), None);
-        for (pp, &p) in plan.parties().iter().zip(&spec.parties) {
+        for (ix, (pp, &p)) in plan.parties().iter().zip(&spec.parties).enumerate() {
             assert_eq!(pp.id, p);
-            assert_eq!(pp.incoming_chains, spec.incoming_chains_of(p));
-            assert_eq!(pp.outgoing_chains, spec.outgoing_chains_of(p));
-            assert_eq!(pp.expected.len(), pp.incoming_chains.len());
+            assert_eq!(plan.incoming_chains(ix), spec.incoming_chains_of(p));
+            assert_eq!(plan.outgoing_chains(ix), spec.outgoing_chains_of(p));
+            assert_eq!(plan.expected(ix).len(), plan.incoming_chains(ix).len());
         }
         assert!(plan.party(PartyId(0)).is_some());
         assert!(plan.party(PartyId(9)).is_none());
+        let past_the_end = spec.parties.len();
+        assert!(plan.incoming_chains(past_the_end).is_empty());
+        assert!(plan.outgoing_chains(past_the_end).is_empty());
+        assert!(plan.expected(past_the_end).is_empty());
     }
 
     #[test]
@@ -298,8 +497,8 @@ mod tests {
     fn expected_bags_mirror_validation_expected_on_chain() {
         let spec = broker_spec();
         let plan = DealPlan::new(&spec).unwrap();
-        for pp in plan.parties() {
-            for (chain, expected) in pp.incoming_chains.iter().zip(&pp.expected) {
+        for (ix, pp) in plan.parties().iter().enumerate() {
+            for (chain, expected) in plan.incoming_chains(ix).iter().zip(plan.expected(ix)) {
                 let named = crate::validation::expected_on_chain(&spec, pp.id, *chain);
                 let mut roundtrip = xchain_sim::asset::AssetBag::new();
                 for (kind, amount) in named.fungible_holdings() {

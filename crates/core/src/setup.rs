@@ -18,17 +18,14 @@ use crate::spec::DealSpec;
 
 /// A plan's world topology: one chain per referenced chain id and one party
 /// per referenced party id. Chains get a 1-tick block interval, so chain time
-/// tracks world time closely, and `chain-{i}` names.
+/// tracks world time closely, and no names.
 pub(crate) fn add_chains_and_parties(world: &mut World, chains: &[ChainId], parties: &[PartyId]) {
     // Parties first: their keys then go into a directory no chain shares
     // yet, which is written in place instead of copied.
     let max_party = parties.iter().map(|p| p.0).max().unwrap_or(0);
     world.add_parties(max_party as usize + 1);
     let max_chain = chains.iter().map(|c| c.0).max().unwrap_or(0);
-    world.reserve_chains(max_chain as usize + 1);
-    for i in 0..=max_chain {
-        world.add_chain(&format!("chain-{i}"), Duration(1));
-    }
+    world.add_chains(max_chain as usize + 1, Duration(1));
 }
 
 /// Creates a world containing every chain and party the plan references,

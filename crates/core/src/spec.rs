@@ -16,6 +16,7 @@ use xchain_sim::asset::{Asset, AssetBag};
 use xchain_sim::ids::{ChainId, DealId, PartyId};
 
 use crate::error::DealError;
+use crate::plan::Resolved;
 
 /// One matrix entry: `from` transfers `asset` (living on `chain`) to `to`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -154,17 +155,26 @@ impl DealSpec {
     /// Validates the specification: parties are distinct and non-empty, every
     /// transfer and escrow references listed parties, and the tentative
     /// transfers can actually be ordered so that every sender tentatively owns
-    /// what it sends (see [`DealSpec::transfer_order`]).
+    /// what it sends (see [`DealPlan::transfer_order`]). This runs the
+    /// planner's own checks and ordering search; [`DealPlan::new`] fails
+    /// exactly when this does, with the same error.
+    ///
+    /// [`DealPlan::transfer_order`]: crate::plan::DealPlan::transfer_order
+    /// [`DealPlan::new`]: crate::plan::DealPlan::new
     pub fn validate(&self) -> Result<(), DealError> {
+        Resolved::new(self).map(drop)
+    }
+
+    /// The shape checks of [`DealSpec::validate`], in order: everything but
+    /// the transfer-order search.
+    pub(crate) fn check_shape(&self) -> Result<(), DealError> {
         if self.parties.is_empty() {
             return Err(DealError::InvalidSpec("deal has no parties".into()));
         }
-        let mut seen = Vec::new();
-        for p in &self.parties {
-            if seen.contains(p) {
+        for (i, p) in self.parties.iter().enumerate() {
+            if self.parties[..i].contains(p) {
                 return Err(DealError::InvalidSpec(format!("duplicate party {p}")));
             }
-            seen.push(*p);
         }
         for e in &self.escrows {
             if !self.parties.contains(&e.owner) {
@@ -194,52 +204,7 @@ impl DealSpec {
                 return Err(DealError::InvalidSpec("empty transfer asset".into()));
             }
         }
-        // A valid ordering must exist.
-        self.transfer_order()?;
         Ok(())
-    }
-
-    /// Computes an order in which the tentative transfers can be performed
-    /// such that each sender tentatively owns the asset at that point,
-    /// starting from the escrowed state. Returns indices into
-    /// [`Self::transfers`]. Fails if no such order exists (e.g. a party is
-    /// supposed to forward assets it never receives).
-    pub fn transfer_order(&self) -> Result<Vec<usize>, DealError> {
-        // Tentative ownership per (chain, party), starting from the escrows.
-        let mut owned: BTreeMap<(ChainId, PartyId), AssetBag> = BTreeMap::new();
-        for e in &self.escrows {
-            owned.entry((e.chain, e.owner)).or_default().add(&e.asset);
-        }
-        let mut remaining: Vec<usize> = (0..self.transfers.len()).collect();
-        let mut order = Vec::with_capacity(remaining.len());
-        while !remaining.is_empty() {
-            let mut progressed = false;
-            let mut i = 0;
-            while i < remaining.len() {
-                let idx = remaining[i];
-                let t = &self.transfers[idx];
-                let sender_has = owned
-                    .get(&(t.chain, t.from))
-                    .map(|b| b.contains(&t.asset))
-                    .unwrap_or(false);
-                if sender_has {
-                    let bag = owned.entry((t.chain, t.from)).or_default();
-                    bag.remove(&t.asset);
-                    owned.entry((t.chain, t.to)).or_default().add(&t.asset);
-                    order.push(idx);
-                    remaining.remove(i);
-                    progressed = true;
-                } else {
-                    i += 1;
-                }
-            }
-            if !progressed {
-                return Err(DealError::InvalidSpec(
-                    "transfers cannot be ordered: some sender never owns what it sends".into(),
-                ));
-            }
-        }
-        Ok(order)
     }
 
     /// Renders the deal as the matrix of Figure 1 (rows = outgoing, columns =
@@ -346,7 +311,8 @@ mod tests {
     fn broker_deal_validates_and_orders() {
         let spec = broker_spec();
         spec.validate().unwrap();
-        let order = spec.transfer_order().unwrap();
+        let plan = crate::plan::DealPlan::new(&spec).unwrap();
+        let order = plan.transfer_order();
         assert_eq!(order.len(), 4);
         // Bob's ticket transfer must precede Alice's forward of the tickets.
         let pos = |idx: usize| order.iter().position(|i| *i == idx).unwrap();
@@ -430,11 +396,8 @@ mod tests {
                 asset: Asset::fungible("coin", 5),
             }],
         );
-        assert!(matches!(
-            spec.transfer_order(),
-            Err(DealError::InvalidSpec(_))
-        ));
-        assert!(spec.validate().is_err());
+        assert!(matches!(spec.validate(), Err(DealError::InvalidSpec(_))));
+        assert!(crate::plan::DealPlan::new(&spec).is_err());
     }
 
     #[test]

@@ -218,7 +218,9 @@ impl VoteBoard {
     /// linked into the list of each of `c`'s watchers.
     fn allocate_tables(&mut self, plan: &DealPlan) {
         let (chains, parties) = (plan.chains(), plan.parties());
-        let n_watched: usize = parties.iter().map(|pp| pp.outgoing_chains.len()).sum();
+        let n_watched: usize = (0..parties.len())
+            .map(|ix| plan.outgoing_chains(ix).len())
+            .sum();
         self.accepted = vec![0; (chains.len() * parties.len()).div_ceil(64)];
         self.published.reserve_exact(chains.len() * parties.len());
         self.links.reserve_exact(parties.len() * n_watched);
@@ -227,8 +229,8 @@ impl VoteBoard {
         self.watchers.resize(chains.len() + 1, 0);
         for (c, chain) in chains.iter().enumerate() {
             self.watchers[c] = self.watchers.len() as u32;
-            for (ix, pp) in parties.iter().enumerate() {
-                if pp.outgoing_chains.binary_search(chain).is_ok() {
+            for ix in 0..parties.len() {
+                if plan.outgoing_chains(ix).binary_search(chain).is_ok() {
                     self.watchers.push(ix as u32);
                 }
             }
@@ -311,7 +313,7 @@ pub(crate) fn drive(
         let target_chains: &[ChainId] = if opts.altruistic_broadcast {
             plan.chains()
         } else {
-            &pp.incoming_chains
+            plan.incoming_chains(voter_ix)
         };
         let message = info.vote_message(p);
         let key = world.key_pair(p).map_err(DealError::Chain)?.clone();
@@ -379,7 +381,7 @@ pub(crate) fn drive(
                 // not at all when every target already accepted the voter
                 // (the common case once a vote has circulated).
                 let mut forwarded: Option<PathSpan> = None;
-                for &target in &pp.incoming_chains {
+                for &target in plan.incoming_chains(forwarder_ix) {
                     let target_ix = index_of_chain(target);
                     if target_ix == seen_chain || board.is_accepted(plan, target_ix, seen_voter) {
                         continue;

@@ -1,6 +1,6 @@
 //! What validation checks (Section 4.1): each party expects its net incoming
 //! assets to be escrowed for it. The engines check the plan's interned form
-//! of these expectations ([`crate::plan::PartyPlan::expected`]) in their
+//! of these expectations ([`crate::plan::DealPlan::expected`]) in their
 //! shared validation phase.
 
 use xchain_sim::asset::AssetBag;

@@ -9,7 +9,10 @@
 //! escrow contracts, and HTLCs all key their state on ids instead of names.
 //!
 //! * [`KindId`] — a `u32` handle, `Copy`/`Ord`/`Hash`; the ledger's map keys.
-//! * [`Interner`] — the bidirectional name ↔ id table.
+//! * [`Interner`] — the bidirectional name ↔ id table. It stores each name
+//!   once. An interner may start from a *frozen* set of names shared by
+//!   `Arc` with other interners (ids `0..k`); the names it interns itself
+//!   get ids from `k` on.
 //! * [`KindTable`] — a cheaply-cloneable shared handle (`Arc<RwLock<Interner>>`)
 //!   owned by the [`crate::world::World`] and handed to every chain it
 //!   creates, so a kind name resolves to the same id on all of a world's
@@ -22,6 +25,12 @@
 //! everything after is `Copy` ids. Ids are assigned in first-intern order,
 //! which is deterministic for a deterministic setup, so identically-seeded
 //! worlds produce identical ids.
+//!
+//! A deal plan interns its kinds into a plain [`Interner`] and then freezes
+//! it ([`KindTable::freeze`]). Every world built from the plan starts from a
+//! [`KindTable::fork`] of that table, which shares the frozen names by `Arc`
+//! instead of copying them: setting up a world copies no kind name, and the
+//! world's own interner holds only the kinds first interned in that world.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -42,10 +51,18 @@ impl fmt::Display for KindId {
 }
 
 /// The bidirectional asset-kind name ↔ [`KindId`] table.
+///
+/// The kinds of the frozen interner it was forked from, if any, keep their
+/// ids `0..k` and are shared, not copied; kinds interned here get ids from
+/// `k` on.
 #[derive(Debug, Default, Clone)]
 pub struct Interner {
-    names: Vec<String>,
-    index: BTreeMap<String, u32>,
+    /// The frozen kinds this interner starts from.
+    frozen: Option<Arc<Interner>>,
+    /// Names of the kinds interned here, in id order.
+    names: Vec<Box<str>>,
+    /// Positions in `names`, sorted by name: the by-name lookup.
+    by_name: Vec<u32>,
 }
 
 impl Interner {
@@ -54,35 +71,73 @@ impl Interner {
         Self::default()
     }
 
+    /// Creates an empty interner with room for `kinds` names, so interning
+    /// up to that many grows no table.
+    pub fn with_capacity(kinds: usize) -> Self {
+        Interner {
+            frozen: None,
+            names: Vec::with_capacity(kinds),
+            by_name: Vec::with_capacity(kinds),
+        }
+    }
+
+    /// The number of frozen kinds: the first id this interner assigns.
+    fn first_own_id(&self) -> u32 {
+        self.frozen.as_ref().map_or(0, |f| f.len() as u32)
+    }
+
+    /// Where `name` sits (or would sit) among the names interned here.
+    fn search(&self, name: &str) -> Result<usize, usize> {
+        self.by_name
+            .binary_search_by(|&ix| (*self.names[ix as usize]).cmp(name))
+    }
+
     /// Returns the id for `name`, assigning the next free id on first use.
     pub fn intern(&mut self, name: &str) -> KindId {
-        if let Some(&id) = self.index.get(name) {
-            return KindId(id);
+        if let Some(id) = self.frozen.as_ref().and_then(|f| f.get(name)) {
+            return id;
         }
-        let id = self.names.len() as u32;
-        self.names.push(name.to_string());
-        self.index.insert(name.to_string(), id);
-        KindId(id)
+        match self.search(name) {
+            Ok(at) => KindId(self.first_own_id() + self.by_name[at]),
+            Err(at) => {
+                let ix = self.names.len() as u32;
+                self.names.push(name.into());
+                self.by_name.insert(at, ix);
+                KindId(self.first_own_id() + ix)
+            }
+        }
     }
 
     /// The id previously assigned to `name`, if any. Never allocates.
     pub fn get(&self, name: &str) -> Option<KindId> {
-        self.index.get(name).copied().map(KindId)
+        if let Some(id) = self.frozen.as_ref().and_then(|f| f.get(name)) {
+            return Some(id);
+        }
+        let at = self.search(name).ok()?;
+        Some(KindId(self.first_own_id() + self.by_name[at]))
     }
 
     /// The name behind an id, if the id was produced by this interner.
     pub fn resolve(&self, id: KindId) -> Option<&str> {
-        self.names.get(id.0 as usize).map(String::as_str)
+        match id.0.checked_sub(self.first_own_id()) {
+            Some(own) => self.names.get(own as usize).map(|n| &**n),
+            None => self.frozen.as_ref()?.resolve(id),
+        }
     }
 
-    /// Number of interned kinds.
+    /// Interns the kind of an asset and returns its id-keyed counterpart.
+    pub fn intern_asset(&mut self, asset: &Asset) -> InternedAsset {
+        InternedAsset::of_kind(asset, self.intern(asset.kind().name()))
+    }
+
+    /// Number of interned kinds, frozen ones included.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.first_own_id() as usize + self.names.len()
     }
 
     /// True if nothing has been interned yet.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.len() == 0
     }
 }
 
@@ -104,24 +159,46 @@ impl KindTable {
         Self::default()
     }
 
-    /// A deep copy of the table: a *new* interner seeded with every
-    /// assignment made so far, after which the two tables evolve
-    /// independently. This is how a pre-resolved `DealPlan` (in
-    /// `xchain-deals`) hands every world built from it the same
-    /// name → id assignments without sharing a lock: the plan interns its
-    /// kinds once into a canonical table, and each world starts from a fork,
-    /// so the plan's ids are valid on all of them by construction.
-    pub fn fork(&self) -> KindTable {
-        let copy = self.inner.read().expect("interner lock").clone();
+    /// Freezes `names` into a table whose forks share them: every id
+    /// `names` assigned keeps its meaning in the table and in each of its
+    /// [forks](KindTable::fork). A deal plan freezes the interner it
+    /// planned with.
+    pub fn freeze(names: Interner) -> KindTable {
+        KindTable::starting_from(Some(Arc::new(names)))
+    }
+
+    /// A table with nothing interned yet beyond the `frozen` kinds.
+    fn starting_from(frozen: Option<Arc<Interner>>) -> KindTable {
         KindTable {
-            inner: Arc::new(RwLock::new(copy)),
+            inner: Arc::new(RwLock::new(Interner {
+                frozen,
+                ..Interner::default()
+            })),
         }
+    }
+
+    /// A table that starts with every assignment made so far, after which
+    /// the two tables evolve independently. This is how a pre-resolved
+    /// `DealPlan` (in `xchain-deals`) hands every world built from it the
+    /// same name → id assignments without sharing a lock: each world starts
+    /// from a fork of the plan's frozen table, so the plan's ids are valid on
+    /// all of them by construction.
+    ///
+    /// The fork shares this table's frozen names by `Arc` and copies no name
+    /// when nothing was interned here since it was frozen (the case of a
+    /// plan's table); otherwise it starts from a frozen copy of everything.
+    pub fn fork(&self) -> KindTable {
+        let frozen = self.with_interner(|own| match &own.frozen {
+            Some(frozen) if own.names.is_empty() => Arc::clone(frozen),
+            _ => Arc::new(own.clone()),
+        });
+        KindTable::starting_from(Some(frozen))
     }
 
     /// Interns a kind name (see [`Interner::intern`]).
     pub fn intern(&self, name: &str) -> KindId {
         // Fast path: the name is almost always known already.
-        if let Some(id) = self.inner.read().expect("interner lock").get(name) {
+        if let Some(id) = self.get(name) {
             return id;
         }
         self.inner.write().expect("interner lock").intern(name)
@@ -129,17 +206,13 @@ impl KindTable {
 
     /// The id previously assigned to `name`, if any. Never allocates.
     pub fn get(&self, name: &str) -> Option<KindId> {
-        self.inner.read().expect("interner lock").get(name)
+        self.with_interner(|names| names.get(name))
     }
 
     /// The [`AssetKind`] behind an id (allocates the returned name; intended
     /// for reporting and error paths, not per-transfer code).
     pub fn resolve(&self, id: KindId) -> Option<AssetKind> {
-        self.inner
-            .read()
-            .expect("interner lock")
-            .resolve(id)
-            .map(AssetKind::new)
+        self.with_interner(|names| names.resolve(id).map(AssetKind::new))
     }
 
     /// Runs `f` with read access to the interner, so a caller that names many
@@ -151,36 +224,22 @@ impl KindTable {
 
     /// The name behind an id, or `"?"` for unknown ids (error messages).
     pub fn name_of(&self, id: KindId) -> String {
-        self.inner
-            .read()
-            .expect("interner lock")
-            .resolve(id)
-            .unwrap_or("?")
-            .to_string()
+        self.with_interner(|names| names.resolve(id).unwrap_or("?").to_string())
     }
 
     /// Interns the kind of an asset and returns its id-keyed counterpart.
     pub fn intern_asset(&self, asset: &Asset) -> InternedAsset {
-        match asset {
-            Asset::Fungible { kind, amount } => InternedAsset::Fungible {
-                kind: self.intern(kind.name()),
-                amount: *amount,
-            },
-            Asset::NonFungible { kind, tokens } => InternedAsset::NonFungible {
-                kind: self.intern(kind.name()),
-                tokens: tokens.clone(),
-            },
-        }
+        InternedAsset::of_kind(asset, self.intern(asset.kind().name()))
     }
 
     /// Number of interned kinds.
     pub fn len(&self) -> usize {
-        self.inner.read().expect("interner lock").len()
+        self.with_interner(Interner::len)
     }
 
     /// True if nothing has been interned yet.
     pub fn is_empty(&self) -> bool {
-        self.inner.read().expect("interner lock").is_empty()
+        self.with_interner(Interner::is_empty)
     }
 }
 
@@ -213,6 +272,20 @@ pub enum InternedAsset {
 }
 
 impl InternedAsset {
+    /// `asset` with its kind replaced by the interned `kind`.
+    fn of_kind(asset: &Asset, kind: KindId) -> InternedAsset {
+        match asset {
+            Asset::Fungible { amount, .. } => InternedAsset::Fungible {
+                kind,
+                amount: *amount,
+            },
+            Asset::NonFungible { tokens, .. } => InternedAsset::NonFungible {
+                kind,
+                tokens: tokens.clone(),
+            },
+        }
+    }
+
     /// The asset's interned kind.
     pub fn kind(&self) -> KindId {
         match self {
@@ -428,6 +501,52 @@ mod tests {
         assert_eq!(b.get("silver"), None);
         // Both assigned the same next id, each in its own table.
         assert_eq!(gold_in_b, silver_in_a);
+    }
+
+    #[test]
+    fn forks_of_a_frozen_table_share_its_names_and_keep_its_ids() {
+        let mut names = Interner::with_capacity(2);
+        let coin = names.intern("coin");
+        let ticket = names
+            .intern_asset(&Asset::non_fungible("ticket", [1]))
+            .kind();
+        assert_eq!(names.intern("coin"), coin);
+        let frozen = KindTable::freeze(names);
+        let (a, b) = (frozen.fork(), frozen.fork());
+        for t in [&frozen, &a, &b] {
+            assert_eq!(t.get("coin"), Some(coin));
+            assert_eq!(t.get("ticket"), Some(ticket));
+            assert_eq!(t.resolve(ticket), Some(AssetKind::new("ticket")));
+            assert_eq!(t.len(), 2);
+        }
+        // A fork's own kinds continue the ids and stay in that fork.
+        let gold = a.intern("gold");
+        assert_eq!(gold, KindId(2));
+        assert_eq!(a.name_of(gold), "gold");
+        assert_eq!(b.get("gold"), None);
+        assert_eq!(frozen.get("gold"), None);
+        assert_eq!(b.intern("silver"), KindId(2));
+        // Forking a table with kinds of its own keeps all of them.
+        let c = a.fork();
+        assert_eq!(c.get("gold"), Some(gold));
+        assert_eq!(c.get("coin"), Some(coin));
+        assert_eq!(c.intern("lead"), KindId(3));
+        assert_eq!(a.get("lead"), None);
+        assert_eq!(c.name_of(KindId(9)), "?");
+    }
+
+    #[test]
+    fn own_names_are_found_whatever_order_they_were_interned_in() {
+        let mut names = Interner::new();
+        let words = ["pear", "apple", "fig", "banana", "cherry"];
+        let ids: Vec<KindId> = words.iter().map(|w| names.intern(w)).collect();
+        assert_eq!(ids, (0..5).map(KindId).collect::<Vec<_>>());
+        for (w, id) in words.iter().zip(&ids) {
+            assert_eq!(names.get(w), Some(*id));
+            assert_eq!(names.resolve(*id), Some(*w));
+        }
+        assert_eq!(names.get("grape"), None);
+        assert_eq!(names.len(), 5);
     }
 
     #[test]

@@ -49,7 +49,8 @@ impl AssetLedger {
     pub fn with_kinds(kinds: KindTable) -> Self {
         AssetLedger {
             kinds,
-            ..Self::default()
+            fungible: BTreeMap::new(),
+            non_fungible: BTreeMap::new(),
         }
     }
 
@@ -530,7 +531,8 @@ impl Blockchain {
         self.id
     }
 
-    /// The chain's display name.
+    /// The chain's display name (empty for a chain added without one, see
+    /// [`crate::world::World::add_chains`]).
     pub fn name(&self) -> &str {
         &self.name
     }

@@ -44,25 +44,12 @@ impl World {
     /// Creates a world with a deterministic seed and the default synchronous
     /// network model.
     pub fn new(seed: u64) -> Self {
-        World {
-            clock: Time::ZERO,
-            chains: Vec::new(),
-            keys: Arc::new(KeyDirectory::new()),
-            parties: BTreeMap::new(),
-            next_party: 0,
-            network: NetworkModel::default(),
-            offline: OfflineSchedule::new(),
-            rng: StdRng::seed_from_u64(seed),
-            seed,
-            kinds: KindTable::new(),
-        }
+        World::with_network(seed, NetworkModel::default())
     }
 
     /// Creates a world with an explicit network model.
     pub fn with_network(seed: u64, network: NetworkModel) -> Self {
-        let mut w = World::new(seed);
-        w.network = network;
-        w
+        World::with_network_and_kinds(seed, network, KindTable::new())
     }
 
     /// Creates a world whose asset-kind table starts from `kinds` (typically
@@ -71,9 +58,18 @@ impl World {
     /// table is adopted as-is: pass a fork, not a shared handle, unless you
     /// want later interning to flow back to the source.
     pub fn with_network_and_kinds(seed: u64, network: NetworkModel, kinds: KindTable) -> Self {
-        let mut w = World::with_network(seed, network);
-        w.kinds = kinds;
-        w
+        World {
+            clock: Time::ZERO,
+            chains: Vec::new(),
+            keys: Arc::new(KeyDirectory::new()),
+            parties: BTreeMap::new(),
+            next_party: 0,
+            network,
+            offline: OfflineSchedule::new(),
+            rng: StdRng::seed_from_u64(seed),
+            seed,
+            kinds,
+        }
     }
 
     /// The seed this world was created with.
@@ -84,12 +80,6 @@ impl World {
     /// The network model in force.
     pub fn network(&self) -> NetworkModel {
         self.network
-    }
-
-    /// Replaces the network model (e.g. to flip from asynchronous to
-    /// synchronous at GST in a scripted scenario).
-    pub fn set_network(&mut self, network: NetworkModel) {
-        self.network = network;
     }
 
     /// The current global clock.
@@ -135,10 +125,16 @@ impl World {
         id
     }
 
-    /// Makes room for `additional` more chains, so adding a known number of
-    /// chains allocates the chain table once and never moves a chain.
-    pub fn reserve_chains(&mut self, additional: usize) {
-        self.chains.reserve_exact(additional);
+    /// Adds `n` chains without names (their ids continue densely from the
+    /// chains already present), growing the chain table at most once. This is
+    /// how a deal plan's world gets its chains: a chain's name only shows in
+    /// its `Debug` output, so naming each one would copy a string per chain
+    /// for nothing.
+    pub fn add_chains(&mut self, n: usize, block_interval: Duration) {
+        self.chains.reserve_exact(n);
+        for _ in 0..n {
+            self.add_chain("", block_interval);
+        }
     }
 
     /// Immutable access to a chain.
@@ -289,23 +285,6 @@ impl World {
         self.chain_mut(chain)?.call(now, caller, contract, f)
     }
 
-    /// Submits a contract call at an explicit time (advancing the clock to it
-    /// first). Convenience for scripted schedules.
-    pub fn call_at<C, R>(
-        &mut self,
-        at: Time,
-        chain: ChainId,
-        caller: Owner,
-        contract: ContractId,
-        f: impl FnOnce(&mut C, &mut CallCtx<'_>) -> ChainResult<R>,
-    ) -> ChainResult<R>
-    where
-        C: Contract,
-    {
-        self.advance_to(at);
-        self.call(chain, caller, contract, f)
-    }
-
     /// Everything `owner` holds across all chains.
     pub fn holdings(&self, owner: Owner) -> AssetBag {
         self.collect_holdings(BTreeMap::from([(owner, AssetBag::new())]))
@@ -445,11 +424,14 @@ mod tests {
     #[test]
     fn chain_ids_are_dense_and_unknown_ids_fail() {
         let mut w = World::new(1);
-        w.reserve_chains(3);
-        let ids: Vec<ChainId> = (0..3).map(|_| w.add_chain("x", Duration(1))).collect();
-        assert_eq!(ids, [ChainId(0), ChainId(1), ChainId(2)]);
+        w.add_chains(2, Duration(1));
+        let named = w.add_chain("x", Duration(1));
+        let ids = [ChainId(0), ChainId(1), ChainId(2)];
+        assert_eq!(named, ids[2]);
         assert_eq!(w.chain_ids(), ids);
         assert_eq!(w.chain(ChainId(2)).unwrap().id(), ChainId(2));
+        assert_eq!(w.chain(ChainId(1)).unwrap().name(), "");
+        assert_eq!(w.chain(ChainId(2)).unwrap().name(), "x");
         assert!(matches!(
             w.chain(ChainId(3)),
             Err(ChainError::UnknownChain(ChainId(3)))

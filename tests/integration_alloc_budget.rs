@@ -1,10 +1,11 @@
-//! Allocation budget for the nine-party ring: a counting global allocator
-//! pins how many heap allocations one `Deal::run_planned` call may make under
-//! the timelock and CBC protocols, how many the property checks may make on
-//! its outcome and how many an observation with nothing new to read may
-//! make, and the timelock commit phase's gas counters pin the work the
-//! paper's cost model charges for it. A live-bytes counter bounds what a
-//! finished sweep keeps per cell.
+//! Allocation budgets: a counting global allocator pins how many heap
+//! allocations one nine-party ring `Deal::run_planned` call makes under the
+//! timelock and CBC protocols, how many planning a deal and building a
+//! ring9 world make, how many the property checks may make on an outcome
+//! and how many an observation with nothing new to read may make, and the
+//! timelock commit phase's gas counters pin the work the paper's cost model
+//! charges for it. A live-bytes counter bounds what a finished sweep keeps
+//! per cell.
 //!
 //! Allocation counts are exact for a given code path (the simulation is
 //! deterministic), so a change that adds per-vote or per-log-entry heap work
@@ -20,11 +21,13 @@ use xchain_deals::phases::Phase;
 use xchain_deals::properties::{
     check_conservation, check_safety, check_strong_liveness, check_weak_liveness,
 };
+use xchain_deals::spec::DealSpec;
 use xchain_deals::strategy::ObservationHub;
-use xchain_deals::Deal;
+use xchain_deals::{setup, Deal};
 use xchain_harness::adversary::strategy_scenarios;
 use xchain_harness::experiments::two_party_deal;
 use xchain_harness::sweep::{standard_engines, Sweep};
+use xchain_harness::workload::{random_well_formed_deal, RandomDealParams};
 use xchain_sim::ids::DealId;
 use xchain_sim::network::NetworkModel;
 
@@ -116,16 +119,75 @@ fn ring9_allocs(protocol: impl Fn() -> Protocol) -> u64 {
 #[test]
 fn ring9_timelock_deal_stays_within_its_allocation_budget() {
     let allocs = ring9_allocs(Protocol::timelock);
-    assert!(
-        allocs <= 254,
-        "ring9 timelock deal made {allocs} allocations"
-    );
+    assert_eq!(allocs, 197, "ring9 timelock deal made {allocs} allocations");
 }
 
 #[test]
 fn ring9_cbc_deal_stays_within_its_allocation_budget() {
     let allocs = ring9_allocs(Protocol::cbc);
-    assert!(allocs <= 330, "ring9 CBC deal made {allocs} allocations");
+    assert_eq!(allocs, 212, "ring9 CBC deal made {allocs} allocations");
+}
+
+/// Allocations of resolving `spec`'s plan in a new session, checked on
+/// several sessions: the count must not depend on which one.
+fn plan_allocs(spec: &DealSpec) -> u64 {
+    // Warm up once so lazily initialised statics are not counted.
+    Deal::new(spec.clone()).plan().unwrap();
+    let counts: Vec<u64> = (0..3)
+        .map(|_| {
+            let session = Deal::new(spec.clone());
+            count_allocs(|| session.plan().unwrap()).0
+        })
+        .collect();
+    assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");
+    counts[0]
+}
+
+/// Planning the broker deal of Figure 1 (non-fungible tickets, a forwarded
+/// asset on each chain).
+#[test]
+fn planning_the_broker_deal_makes_exactly_its_budgeted_allocations() {
+    let allocs = plan_allocs(&broker_spec());
+    assert_eq!(
+        allocs, 40,
+        "planning the broker deal made {allocs} allocations"
+    );
+}
+
+/// Planning a deal of the deal benchmark's `market_mix` shape: five
+/// parties, a ring of fungible assets and two extra forwarding hops.
+#[test]
+fn planning_a_random_deal_makes_exactly_its_budgeted_allocations() {
+    let params = RandomDealParams {
+        parties: 5,
+        extra_transfers: 2,
+        amount: 100,
+    };
+    let allocs = plan_allocs(&random_well_formed_deal(DealId(3), &params, 11));
+    assert_eq!(
+        allocs, 43,
+        "planning a random deal made {allocs} allocations"
+    );
+}
+
+/// Building the world a ring9 plan runs in: nine chains sharing the plan's
+/// kind names, nine parties with their keys, nine minted escrow assets.
+#[test]
+fn a_ring9_world_makes_exactly_its_budgeted_allocations() {
+    let plan = Deal::new(ring_spec(DealId(9), 9)).plan().unwrap();
+    let network = NetworkModel::synchronous(100);
+    // Warm up once so lazily initialised statics are not counted.
+    drop(setup::world_for_plan(&plan, network, 0).unwrap());
+    let counts: Vec<u64> = SEEDS
+        .iter()
+        .map(|&seed| count_allocs(|| setup::world_for_plan(&plan, network, seed).unwrap()).0)
+        .collect();
+    assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");
+    assert_eq!(
+        counts[0], 16,
+        "a ring9 world made {} allocations",
+        counts[0]
+    );
 }
 
 /// The four property checks read the outcome by reference: on a committed
